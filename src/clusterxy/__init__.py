@@ -24,6 +24,7 @@ from .freefermion import (
     ModeData,
     Sector,
     SectorSolution,
+    bogoliubov_angle,
     even_vacuum_angles,
     ground_and_gap,
     mode_data,
@@ -35,6 +36,7 @@ from .freefermion import (
 from .entanglement import (
     BlockAnsatz,
     EntanglementResult,
+    EvenVacuumAnalysis,
     EvenVacuumError,
     QuadratureError,
     SiteAnsatz,

@@ -17,13 +17,12 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import model as mdl
 from .freefermion import Sector, ground_and_gap, sector_states
 from .entanglement import (
-    EvenVacuumError,
+    EvenVacuumAnalysis,
     QuadratureError,
     maximize_block,
     maximize_site,
@@ -46,18 +45,6 @@ _ENT_FUNCS = {
     "ent_af": maximize_site_af,
 }
 
-#: preset name -> (parameter names consumed, description)
-PRESETS: dict[str, tuple[tuple[str, ...], str]] = {
-    "free": (("h",), "non-interacting spins in a transverse field"),
-    "xy": (("r", "h"), "standard XY chain (anisotropy r, field h)"),
-    "xzy": (("r", "h"), "XY chain with one mediating Z per interaction"),
-    "xny": (("n", "m", "r", "h"), "XY chain with n (and m) mediating Z's"),
-    "halfway-xy": (("r", "h"), "XY chain with interactions spanning half the ring"),
-    "ghz-cluster": (("g",), "rotated GHZ-cluster chain"),
-    "spt-afm": (("lambda", "halfway"), "cluster term competing with an AFM YY coupling"),
-    "spt-afm-halfway": (("lambda",), "spt-afm with the halfway-span cluster term"),
-}
-
 
 @dataclass(frozen=True)
 class ScanRequest:
@@ -69,13 +56,11 @@ class ScanRequest:
     sweep: tuple[str, float, float, float] | None
     quantities: tuple[str, ...] = ()
     levels: int = 2
-    jobs: int = 1
     fmt: str = "csv"
     output: str | None = None
     extras: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
-        # jobs is an execution detail, not part of the request identity
         data = {
             "command": self.command,
             "model": self.model,
@@ -94,30 +79,6 @@ class ScanRequest:
 
 
 # --- model resolution ---------------------------------------------------------
-
-def _build_preset(name: str, params: dict, sites: int) -> mdl.ModelSpec:
-    if name == "free":
-        return mdl.preset_free(params["h"], sites)
-    if name == "xy":
-        return mdl.preset_xny(0, params["r"], params["h"], sites)
-    if name == "xzy":
-        return mdl.preset_xny(1, params["r"], params["h"], sites)
-    if name == "xny":
-        n = params["n"]
-        m = params["m"] if params.get("m") is not None else n
-        if params.get("halfway"):
-            n = m = sites // 2 - 1
-        return mdl.preset_xnmy(int(n), int(m), params["r"], params["h"], sites)
-    if name == "halfway-xy":
-        return mdl.preset_halfway_xy(params["r"], params["h"], sites)
-    if name == "ghz-cluster":
-        return mdl.preset_ghz_cluster(params["g"], sites)
-    if name == "spt-afm":
-        return mdl.preset_spt_afm(params["lambda"], sites, halfway=bool(params.get("halfway")))
-    if name == "spt-afm-halfway":
-        return mdl.preset_spt_afm(params["lambda"], sites, halfway=True)
-    raise ValueError(f"unknown preset {name!r}; see `clusterxy presets`")
-
 
 class ModelSource:
     """Builds ModelSpecs for sweep points, either from a preset plus its
@@ -140,14 +101,14 @@ class ModelSource:
         if self.path is not None:
             self.base = mdl.load_model(self.path)
         else:
-            if self.preset not in PRESETS:
+            if self.preset not in mdl.PRESETS:
                 raise ValueError(f"unknown preset {self.preset!r}; see `clusterxy presets`")
             self.base = None
 
     def describe(self) -> dict:
         if self.path is not None:
             return {"file": str(self.path), "definition": mdl.model_to_dict(self.base)}
-        used, _ = PRESETS[self.preset]
+        used = mdl.PRESETS[self.preset].parameters
         return {
             "preset": self.preset,
             "parameters": {key: self.params[key] for key in used},
@@ -159,7 +120,7 @@ class ModelSource:
     def sweepable(self) -> tuple[str, ...]:
         if self.path is not None:
             return ("h", "field")
-        used, _ = PRESETS[self.preset]
+        used = mdl.PRESETS[self.preset].parameters
         return tuple(p for p in used if p != "halfway") + (("field",) if "h" in used else ())
 
     def build(self, sites: int, override: tuple[str, float] | None = None) -> mdl.ModelSpec:
@@ -172,7 +133,7 @@ class ModelSource:
         if override is not None:
             key = "h" if override[0] == "field" else override[0]
             params[key] = override[1]
-        return _build_preset(self.preset, params, sites)
+        return mdl.PRESETS[self.preset].build(params, sites)
 
 
 # --- sweep handling -----------------------------------------------------------
@@ -254,13 +215,6 @@ def write_output(request: ScanRequest, columns: list[str], rows: list[list]) -> 
             fh.write(text)
 
 
-def _run_jobs(worker, items, jobs: int) -> list:
-    if jobs <= 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
-
-
 def _model_json(spec: mdl.ModelSpec) -> str:
     return json.dumps(mdl.model_to_dict(spec), sort_keys=True, separators=(",", ":"))
 
@@ -270,35 +224,32 @@ def _model_json(spec: mdl.ModelSpec) -> str:
 def cmd_spectrum(source: ModelSource, request: ScanRequest) -> tuple[list[str], list[list]]:
     param = request.sweep[0]
     points = sweep_points(*request.sweep[1:])
-    items = [(n, value) for n in request.sites for value in points]
-
-    def worker(item):
-        n, value = item
-        spec = source.build(n, (param, value))
-        rows = []
-        for sector in (Sector.ODD, Sector.EVEN):
-            for level, (energy, occ) in enumerate(sector_states(spec, sector, request.levels)):
-                rows.append([value, n, sector.value, level, energy, len(occ), _model_json(spec)])
-        return rows
-
-    nested = _run_jobs(worker, items, request.jobs)
+    rows = []
+    for n in request.sites:
+        for value in points:
+            spec = source.build(n, (param, value))
+            for sector in (Sector.ODD, Sector.EVEN):
+                for level, (energy, occ) in enumerate(sector_states(spec, sector, request.levels)):
+                    rows.append([value, n, sector.value, level, energy, len(occ), _model_json(spec)])
     columns = ["sweep_value", "sites", "sector", "level", "energy", "occupation_size", "model"]
-    return columns, [row for rows in nested for row in rows]
+    return columns, rows
 
 
 def cmd_gap_scan(source: ModelSource, request: ScanRequest) -> tuple[list[str], list[list]]:
     param = request.sweep[0]
     points = sweep_points(*request.sweep[1:])
-    items = [(n, value) for n in request.sites for value in points]
-
-    def worker(item):
-        n, value = item
-        spec = source.build(n, (param, value))
-        report = ground_and_gap(spec)
-        return [value, n, report.gap, _model_json(spec)]
-
-    rows = _run_jobs(worker, items, request.jobs)
+    rows = []
+    for n in request.sites:
+        for value in points:
+            spec = source.build(n, (param, value))
+            rows.append([value, n, ground_and_gap(spec).gap, _model_json(spec)])
     return ["sweep_value", "sites", "gap", "model"], rows
+
+
+def _derivative(points: list[float], series: list) -> list:
+    if len(series) >= 3 and all(v is not None for v in series):
+        return list(scan_derivative(points, series))
+    return [None] * len(series)
 
 
 def cmd_ent_scan(source: ModelSource, request: ScanRequest) -> tuple[list[str], list[list]]:
@@ -308,83 +259,52 @@ def cmd_ent_scan(source: ModelSource, request: ScanRequest) -> tuple[list[str], 
     want_derivative = "derivative" in request.quantities
     want_gap = "gap" in request.quantities
 
-    def worker(item):
-        n, value = item
-        spec = source.build(n, (param, value))
-        densities: dict[str, float | None] = {}
-        flagged = False
-        degenerate = False
-        for kind in kinds:
-            try:
-                result = _ENT_FUNCS[kind](spec)
-            except EvenVacuumError:
-                flagged = True
-                densities[kind] = None
-            else:
-                densities[kind] = result.density
-                degenerate = degenerate or result.ground_degenerate
-        gap = ground_and_gap(spec).gap if want_gap else None
-        return value, n, flagged, degenerate, densities, gap, _model_json(spec)
-
-    items = [(n, value) for n in request.sites for value in points]
-    results = _run_jobs(worker, items, request.jobs)
-
-    columns = ["sweep_value", "sites", "even_vacuum", "degenerate"]
-    columns += kinds
+    columns = ["sweep_value", "sites", "even_vacuum", "degenerate", *kinds]
     if want_gap:
         columns.append("gap")
     if want_derivative:
         columns += [f"d_{kind}" for kind in kinds]
     columns.append("model")
 
-    derivatives: dict[tuple[int, str], list[float | None]] = {}
-    if want_derivative:
-        for n in request.sites:
-            chunk = [res for res in results if res[1] == n]
-            for kind in kinds:
-                series = [res[4][kind] for res in chunk]
-                if len(series) >= 3 and all(v is not None for v in series):
-                    derivatives[(n, kind)] = list(scan_derivative(points, series))
-                else:
-                    derivatives[(n, kind)] = [None] * len(series)
-
     rows = []
-    index_in_site = {n: 0 for n in request.sites}
-    for value, n, flagged, degenerate, densities, gap, model_json in results:
-        row = [value, n, not flagged, degenerate]
-        row += [densities[kind] for kind in kinds]
-        if want_gap:
-            row.append(gap)
+    for n in request.sites:
+        chunk, models = [], []
+        for value in points:
+            spec = source.build(n, (param, value))
+            analysis = EvenVacuumAnalysis(spec)
+            vacuum = analysis.report.even_vacuum
+            # points whose ground state is not the even vacuum are flagged
+            # and carry no densities
+            row = [value, n, vacuum, vacuum and analysis.report.degenerate]
+            row += [_ENT_FUNCS[kind](analysis).density if vacuum else None for kind in kinds]
+            if want_gap:
+                row.append(analysis.report.gap)
+            chunk.append(row)
+            models.append(_model_json(spec))
         if want_derivative:
-            idx = index_in_site[n]
-            row += [derivatives[(n, kind)][idx] for kind in kinds]
-        index_in_site[n] += 1
-        row.append(model_json)
-        rows.append(row)
+            derivs = [_derivative(points, [row[4 + j] for row in chunk]) for j in range(len(kinds))]
+            for i, row in enumerate(chunk):
+                row += [d[i] for d in derivs]
+        rows += [row + [model] for row, model in zip(chunk, models)]
     return columns, rows
 
 
 def cmd_thermo(source: ModelSource, request: ScanRequest) -> tuple[list[str], list[list]]:
-    if source.preset in ("halfway-xy", "spt-afm-halfway") or (
-        source.preset == "xny" and source.params.get("halfway")
-    ):
-        raise ValueError(
-            "halfway interactions have no fixed thermodynamic-limit angle "
-            "(the mediator count grows with the system size)"
-        )
     param = request.sweep[0]
-    points = sweep_points(*request.sweep[1:])
     nominal_sites = request.sites[0]
-
-    def worker(value):
+    rows = []
+    for value in sweep_points(*request.sweep[1:]):
         spec = source.build(nominal_sites, (param, value))
+        if spec.blocks != source.build(nominal_sites + 2, (param, value)).blocks:
+            raise ValueError(
+                "the interactions change with the system size (halfway spans), so "
+                "the model has no fixed thermodynamic-limit angle"
+            )
         try:
             density = thermo_block_density(theta_function(spec))
         except QuadratureError as exc:
             raise QuadratureError(f"at {param}={value}: {exc}") from exc
-        return [value, density, _model_json(spec)]
-
-    rows = _run_jobs(worker, points, request.jobs)
+        rows.append([value, density, _model_json(spec)])
     return ["sweep_value", "thermo_block_density", "model"], rows
 
 
@@ -416,9 +336,9 @@ def cmd_check(request: ScanRequest, sites: int, points: int, presets, flip_theta
 
 def cmd_presets() -> int:
     sys.stdout.write("available presets:\n")
-    for name, (params, description) in PRESETS.items():
-        flags = ", ".join(f"--{p}" for p in params)
-        sys.stdout.write(f"  {name:16s} {description} ({flags})\n")
+    for name, preset in mdl.PRESETS.items():
+        flags = ", ".join(f"--{p}" for p in preset.parameters)
+        sys.stdout.write(f"  {name:16s} {preset.description} ({flags})\n")
     sys.stdout.write("model files: JSON with fields sites, field, blocks[kind,strength,mediators]\n")
     return EXIT_OK
 
@@ -438,7 +358,6 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sites", default=None, help="comma-separated system sizes")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent sweep evaluations")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,8 +414,6 @@ def _scan_request(args, source: ModelSource, quantities=(), extras=None) -> Scan
             f"cannot sweep {sweep[0]!r} for this model; valid parameters: "
             f"{', '.join(source.sweepable())}"
         )
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
     return ScanRequest(
         command=args.command,
         model=source.describe(),
@@ -504,7 +421,6 @@ def _scan_request(args, source: ModelSource, quantities=(), extras=None) -> Scan
         sweep=sweep,
         quantities=tuple(quantities),
         levels=getattr(args, "levels", 2),
-        jobs=args.jobs,
         fmt=args.format,
         output=args.out,
         extras=extras or {},

@@ -6,12 +6,12 @@ closed-form overlap formulas."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from . import model as mdl
-from .freefermion import DEGENERACY_RTOL, ground_and_gap, even_vacuum_angles
+from .freefermion import ground_and_gap, even_vacuum_angles
 from .entanglement import overlap_site, overlap_block
 from .oracle import (
     MAX_BRUTE_SITES,
@@ -26,15 +26,15 @@ ENERGY_TOL = 1e-9
 FIDELITY_TOL = 1e-9
 OVERLAP_TOL = 1e-9
 
-#: preset name -> (sweep parameter label, builder(parameter, sites))
-CHECK_PRESETS: dict[str, tuple[str, Callable[[float, int], mdl.ModelSpec]]] = {
-    "xy": ("h", lambda p, n: mdl.preset_xny(0, 0.5, p, n)),
-    "xzy": ("h", lambda p, n: mdl.preset_xny(1, 0.5, p, n)),
-    "xn2y": ("h", lambda p, n: mdl.preset_xny(2, 0.5, p, n)),
-    "halfway-xy": ("h", lambda p, n: mdl.preset_halfway_xy(0.5, p, n)),
-    "ghz-cluster": ("g", lambda p, n: mdl.preset_ghz_cluster(p, n)),
-    "spt-afm": ("lambda", lambda p, n: mdl.preset_spt_afm(p, n)),
-    "spt-afm-halfway": ("lambda", lambda p, n: mdl.preset_spt_afm(p, n, halfway=True)),
+#: check name -> (preset in ``model.PRESETS``, swept parameter, fixed parameters)
+CHECK_PRESETS: dict[str, tuple[str, str, dict]] = {
+    "xy": ("xy", "h", {"r": 0.5}),
+    "xzy": ("xzy", "h", {"r": 0.5}),
+    "xn2y": ("xny", "h", {"n": 2, "r": 0.5}),
+    "halfway-xy": ("halfway-xy", "h", {"r": 0.5}),
+    "ghz-cluster": ("ghz-cluster", "g", {}),
+    "spt-afm": ("spt-afm", "lambda", {}),
+    "spt-afm-halfway": ("spt-afm-halfway", "lambda", {}),
 }
 
 
@@ -82,12 +82,11 @@ def check_model(
     rows.append(CheckRow(name, spec.sites, parameter, "energy", energy_err, ENERGY_TOL, energy_err <= ENERGY_TOL))
     rows.append(CheckRow(name, spec.sites, parameter, "gap", gap_err, ENERGY_TOL, gap_err <= ENERGY_TOL))
 
-    degenerate = report.gap < DEGENERACY_RTOL * max(1.0, abs(report.ground_energy))
     eligible = (
         need_state
         and spec.sites % 2 == 0
         and report.even_vacuum
-        and not degenerate
+        and not report.degenerate
     )
     if not eligible:
         return rows
@@ -141,6 +140,8 @@ def run_checks(
     check harness itself.
     """
     names = list(presets) if presets is not None else list(CHECK_PRESETS)
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     for n in sites:
         if n > MAX_BRUTE_SITES:
             raise ValueError(
@@ -152,13 +153,14 @@ def run_checks(
     for name in names:
         if name not in CHECK_PRESETS:
             raise ValueError(f"unknown preset {name!r}; choose from {sorted(CHECK_PRESETS)}")
-        _, build = CHECK_PRESETS[name]
+        preset, parameter, fixed = CHECK_PRESETS[name]
+        build = mdl.PRESETS[preset].build
         for n in sites:
             for p in grid:
                 rows.extend(
                     check_model(
                         name,
-                        build(float(p), int(n)),
+                        build({**fixed, parameter: float(p)}, int(n)),
                         float(p),
                         include_fidelity=include_fidelity,
                         include_overlaps=include_overlaps,

@@ -17,23 +17,25 @@ log|overlap| and its gradient are cheap, so the maximizations run as
 multi-start gradient ascent on the amplitude sphere.  A thermodynamic-limit
 version of the per-block density is evaluated by quadrature over the
 continuous Bogoliubov angle.
+
+The three finite-N maximizers accept a model or its ``EvenVacuumAnalysis``;
+passing one analysis to several of them solves the ground state and the
+vacuum angles once and reuses the site and period-2 optima that seed the
+block search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
 from .model import ModelSpec
-from .freefermion import (
-    DEGENERACY_RTOL,
-    ground_and_gap,
-    even_vacuum_angles,
-)
+from .freefermion import bogoliubov_angle, even_vacuum_angles, ground_and_gap
 
 _LN2 = math.log(2.0)
 _TINY = 1e-280
@@ -45,6 +47,13 @@ SITE_XI_TOL = 1e-10
 
 #: Sphere optimization: number of multi-start seeds for the block problem.
 BLOCK_STARTS = 32
+
+#: Period-2 optimization: coarse (t1, t2) grid size and the number of its
+#: best cells refined by gradient ascent.
+AF_GRID_POINTS = 48
+AF_GRID_STARTS = 8
+
+_LBFGS_OPTIONS = {"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12}
 
 #: Fixed-order quadrature nodes used inside the thermodynamic maximization;
 #: the value at the optimum is re-evaluated with adaptive quadrature.
@@ -134,12 +143,34 @@ def overlap_site(angles, xi: float, sites: int) -> float:
     return float(np.prod(terms))
 
 
-def _block_forms(angles, sites: int) -> tuple[np.ndarray, np.ndarray | None]:
+def pair_forms(t1, t2, mu) -> np.ndarray:
     """Overlap factors of the two-site-block ansatz as quadratic forms.
 
-    Returns (M, q): factor k of the overlap is v.M[k].v for the amplitude
-    vector v = (a, b, c, d), and the leftover unpaired factor (present when
-    N/2 is odd) is q.v.
+    Entry k is the 4x4 form M_k whose value v.M_k.v, for the amplitude
+    vector v = (a, b, c, d), is the overlap factor of the momentum pair
+    (mu_k, pi - mu_k) with Bogoliubov angles t1 = theta(mu_k) and
+    t2 = theta(pi - mu_k).
+    """
+    # sin(t1 -+ t2) expanded: the unexpanded form rounds differently and
+    # moves the last digits of the finite-N maximizers' results
+    a_cross = np.sin(t1) * np.cos(t2)
+    b_cross = np.cos(t1) * np.sin(t2)
+    cot = 1.0 / np.tan(mu)
+
+    m = np.zeros((mu.size, 4, 4))
+    m[:, 0, 0] = np.cos(t1) * np.cos(t2)
+    m[:, 3, 3] = np.sin(t1) * np.sin(t2)
+    m[:, 1, 1] = m[:, 2, 2] = 0.5 * (a_cross - b_cross) * cot
+    m[:, 1, 2] = m[:, 2, 1] = 0.5 * (a_cross + b_cross) * cot * np.cos(mu)
+    m[:, 0, 3] = m[:, 3, 0] = 0.5 * (a_cross + b_cross) * np.sin(mu)
+    return m
+
+
+def _block_forms(angles, sites: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The pair forms of an N-site ring, sampled at mu_k = 2 pi (k + 1/2)/N.
+
+    Returns (M, q): factor k of the overlap is v.M[k].v, and the leftover
+    unpaired factor (present when N/2 is odd) is q.v.
     """
     if sites % 2 != 0:
         raise ValueError("block overlap requires an even number of sites")
@@ -150,20 +181,7 @@ def _block_forms(angles, sites: int) -> tuple[np.ndarray, np.ndarray | None]:
     n_pair = sites // 4 if sites % 4 == 0 else (sites - 2) // 4
 
     ks = np.arange(n_pair)
-    t1 = angles[ks]
-    t2 = angles[half - 1 - ks]
-    phi = 2.0 * np.pi * (ks + 0.5) / sites
-    cot = 1.0 / np.tan(phi)
-
-    a_cross = np.sin(t1) * np.cos(t2)
-    b_cross = np.cos(t1) * np.sin(t2)
-
-    m = np.zeros((n_pair, 4, 4))
-    m[:, 0, 0] = np.cos(t1) * np.cos(t2)
-    m[:, 3, 3] = np.sin(t1) * np.sin(t2)
-    m[:, 1, 1] = m[:, 2, 2] = 0.5 * (a_cross - b_cross) * cot
-    m[:, 1, 2] = m[:, 2, 1] = 0.5 * (a_cross + b_cross) * cot * np.cos(phi)
-    m[:, 0, 3] = m[:, 3, 0] = 0.5 * (a_cross + b_cross) * np.sin(phi)
+    m = pair_forms(angles[ks], angles[half - 1 - ks], 2.0 * np.pi * (ks + 0.5) / sites)
 
     q = None
     if sites % 4 != 0:
@@ -240,22 +258,18 @@ def _maximize_on_sphere(m, q, weights, starts):
             # a vanishing factor kills the clamped gradient; nudge off it
             x0 = x0 + 0.05
             x0 = x0 / np.linalg.norm(x0)
-        res = minimize(
-            negative,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12},
-        )
+        res = minimize(negative, x0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
         if -res.fun > best_val:
             best_val, best_v = -res.fun, res.x
-    v = best_v / np.linalg.norm(best_v)
+    return best_val, _canonical_sign(best_v / np.linalg.norm(best_v))
+
+
+def _canonical_sign(v: np.ndarray) -> np.ndarray:
+    """``v`` or ``-v``, whichever has its first non-negligible entry positive."""
     for comp in v:
         if abs(comp) > 1e-12:
-            if comp < 0.0:
-                v = -v
-            break
-    return best_val, v
+            return -v if comp < 0.0 else v
+    return v
 
 
 def _block_starts(embedded: list[np.ndarray]) -> list[np.ndarray]:
@@ -272,7 +286,7 @@ def _block_starts(embedded: list[np.ndarray]) -> list[np.ndarray]:
     return starts
 
 
-# --- site-angle maximization --------------------------------------------------
+# --- site-angle and period-2 maximization ---------------------------------------
 
 def _site_log_overlap(angles, sites):
     cos_part, sin_part = _site_factors(angles, sites)
@@ -305,66 +319,6 @@ def _golden_max(fun, lo, hi, tol):
     return mid, fun(mid)
 
 
-def _require_even_vacuum(spec: ModelSpec):
-    if spec.sites % 2 != 0:
-        raise ValueError("entanglement formulas require an even number of sites")
-    report = ground_and_gap(spec)
-    if not report.even_vacuum:
-        raise EvenVacuumError(
-            "ground state is not the even-sector vacuum "
-            f"(ground sector {report.ground_sector.value}); the closed-form "
-            "overlaps do not apply"
-        )
-    degenerate = report.gap < DEGENERACY_RTOL * max(1.0, abs(report.ground_energy))
-    return degenerate
-
-
-def _result(log_lambda: float, n: int, optimum, mode: str, degenerate: bool) -> EntanglementResult:
-    eg_total = -2.0 * log_lambda / _LN2
-    if abs(eg_total) < 1e-14:
-        eg_total = abs(eg_total)
-    return EntanglementResult(
-        lambda_max=math.exp(log_lambda),
-        eg_total=eg_total,
-        density=eg_total / n,
-        optimum=optimum,
-        mode=mode,
-        ground_degenerate=degenerate,
-    )
-
-
-def maximize_site(spec: ModelSpec) -> EntanglementResult:
-    """Geometric entanglement against uniform single-site product states:
-    dense xi grid followed by golden-section refinement."""
-    degenerate = _require_even_vacuum(spec)
-    angles = even_vacuum_angles(spec)
-    logf = _site_log_overlap(angles, spec.sites)
-    grid = np.linspace(0.0, math.pi, SITE_GRID_POINTS)
-    values = logf(grid)
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, SITE_GRID_POINTS - 1)]
-    xi, log_lambda = _golden_max(lambda x: float(logf(x)), lo, hi, SITE_XI_TOL)
-    if values[best] > log_lambda:
-        xi, log_lambda = grid[best], float(values[best])
-    return _result(log_lambda, spec.sites, SiteAnsatz(float(xi)), "per_site", degenerate)
-
-
-def _site_optimum_embedding(angles, sites) -> tuple[float, np.ndarray]:
-    logf = _site_log_overlap(angles, sites)
-    grid = np.linspace(0.0, math.pi, SITE_GRID_POINTS)
-    values = logf(grid)
-    best = int(np.argmax(values))
-    xi, _ = _golden_max(
-        lambda x: float(logf(x)),
-        grid[max(best - 1, 0)],
-        grid[min(best + 1, SITE_GRID_POINTS - 1)],
-        SITE_XI_TOL,
-    )
-    c, s = math.cos(xi / 2.0), math.sin(xi / 2.0)
-    return xi, np.array([c * c, c * s, c * s, s * s])
-
-
 def _af_vector(t1, t2):
     return np.array(
         [
@@ -376,34 +330,10 @@ def _af_vector(t1, t2):
     )
 
 
-def _maximize_af(m, q, weights, extra_starts=()):
-    """Maximize the log-product objective over the period-2 product family
-    (a, b, c, d) = (cos t1, sin t1) x (cos t2, sin t2)."""
-
-    def value_grad(t):
-        t1, t2 = float(t[0]), float(t[1])
-        v = _af_vector(t1, t2)
-        val, grad_v = _forms_value_grad(v, m, q, weights)
-        d1 = np.array(
-            [
-                -math.sin(t1) * math.cos(t2),
-                -math.sin(t1) * math.sin(t2),
-                math.cos(t1) * math.cos(t2),
-                math.cos(t1) * math.sin(t2),
-            ]
-        )
-        d2 = np.array(
-            [
-                -math.cos(t1) * math.sin(t2),
-                math.cos(t1) * math.cos(t2),
-                -math.sin(t1) * math.sin(t2),
-                math.sin(t1) * math.cos(t2),
-            ]
-        )
-        return val, np.array([grad_v @ d1, grad_v @ d2])
-
-    # coarse vectorized scan, then gradient refinement from the best cells
-    grid = np.linspace(0.0, math.pi, 48, endpoint=False)
+def _af_grid_starts(m, q, weights) -> list[np.ndarray]:
+    """The AF_GRID_STARTS best cells of a coarse, vectorized (t1, t2) scan
+    of the period-2 objective, best first."""
+    grid = np.linspace(0.0, math.pi, AF_GRID_POINTS, endpoint=False)
     tt1, tt2 = np.meshgrid(grid, grid, indexing="ij")
     vecs = np.stack(
         [
@@ -420,63 +350,160 @@ def _maximize_af(m, q, weights, extra_starts=()):
     if q is not None:
         qv = vecs @ q
         vals += np.log(np.abs(np.where(qv == 0.0, _TINY, qv)))
-    order = np.argsort(vals)[::-1][:8]
-    starts = [np.array([tt1.ravel()[i], tt2.ravel()[i]]) for i in order]
-    starts.extend(np.asarray(t, dtype=float) for t in extra_starts)
+    order = np.argsort(vals)[::-1][:AF_GRID_STARTS]
+    return [np.array([tt1.ravel()[i], tt2.ravel()[i]]) for i in order]
+
+
+def _maximize_af(m, q, weights, starts, best_val=-np.inf, best_t=None):
+    """Gradient ascent of the log-product objective over the period-2
+    product family (a, b, c, d) = (cos t1, sin t1) x (cos t2, sin t2) from
+    each start.  Returns the best (log value, t), which stays
+    (best_val, best_t) unless a start beats it strictly."""
 
     def negative(t):
-        val, grad = value_grad(t)
-        return -val, -grad
-
-    best_val, best_t = -np.inf, None
-    for t0 in starts:
-        res = minimize(
-            negative,
-            t0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12},
+        t1, t2 = float(t[0]), float(t[1])
+        val, grad_v = _forms_value_grad(_af_vector(t1, t2), m, q, weights)
+        d1 = np.array(
+            [
+                -math.sin(t1) * math.cos(t2),
+                -math.sin(t1) * math.sin(t2),
+                math.cos(t1) * math.cos(t2),
+                math.cos(t1) * math.sin(t2),
+            ]
         )
+        d2 = np.array(
+            [
+                -math.cos(t1) * math.sin(t2),
+                math.cos(t1) * math.cos(t2),
+                -math.sin(t1) * math.sin(t2),
+                math.sin(t1) * math.cos(t2),
+            ]
+        )
+        return -val, -np.array([grad_v @ d1, grad_v @ d2])
+
+    for t0 in starts:
+        res = minimize(negative, t0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
         if -res.fun > best_val:
             best_val, best_t = -res.fun, res.x
     return best_val, best_t
 
 
-def maximize_block(spec: ModelSpec) -> EntanglementResult:
+# --- one analysis per model ---------------------------------------------------
+
+class EvenVacuumAnalysis:
+    """What the finite-N maximizers share for one model: the ground report,
+    and, on first use, the even-vacuum angles, the block forms, the site
+    optimum and the period-2 optimum over the grid starts.
+
+    Construction solves the ground state and raises ValueError for an odd
+    number of sites; reading anything built on the vacuum angles raises
+    EvenVacuumError when the ground state is not the even-sector vacuum.
+    """
+
+    def __init__(self, spec: ModelSpec):
+        if spec.sites % 2 != 0:
+            raise ValueError("entanglement formulas require an even number of sites")
+        self.spec = spec
+        self.sites = spec.sites
+        self.report = ground_and_gap(spec)
+
+    @cached_property
+    def angles(self) -> np.ndarray:
+        """Bogoliubov angles of the even-sector vacuum."""
+        if not self.report.even_vacuum:
+            raise EvenVacuumError(
+                "ground state is not the even-sector vacuum "
+                f"(ground sector {self.report.ground_sector.value}); the closed-form "
+                "overlaps do not apply"
+            )
+        return even_vacuum_angles(self.spec)
+
+    @cached_property
+    def forms(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """(M, q, weights): the block overlap as quadratic forms (see
+        ``_block_forms``) with unit weights."""
+        m, q = _block_forms(self.angles, self.sites)
+        return m, q, np.ones(m.shape[0])
+
+    @cached_property
+    def site_optimum(self) -> tuple[float, float, float, float]:
+        """(xi, log Lambda) after golden-section refinement around the best
+        cell of a dense xi grid, followed by (xi, log Lambda) of that cell."""
+        logf = _site_log_overlap(self.angles, self.sites)
+        grid = np.linspace(0.0, math.pi, SITE_GRID_POINTS)
+        values = logf(grid)
+        best = int(np.argmax(values))
+        xi, log_lambda = _golden_max(
+            lambda x: float(logf(x)),
+            grid[max(best - 1, 0)],
+            grid[min(best + 1, SITE_GRID_POINTS - 1)],
+            SITE_XI_TOL,
+        )
+        return xi, log_lambda, grid[best], float(values[best])
+
+    @cached_property
+    def af_optimum(self) -> tuple[float, np.ndarray]:
+        """(log Lambda, (t1, t2)) of the period-2 family, ascended from the
+        grid starts only."""
+        m, q, weights = self.forms
+        return _maximize_af(m, q, weights, _af_grid_starts(m, q, weights))
+
+    def result(self, log_lambda: float, optimum, mode: str) -> EntanglementResult:
+        eg_total = -2.0 * log_lambda / _LN2
+        if abs(eg_total) < 1e-14:
+            eg_total = abs(eg_total)
+        return EntanglementResult(
+            lambda_max=math.exp(log_lambda),
+            eg_total=eg_total,
+            density=eg_total / self.sites,
+            optimum=optimum,
+            mode=mode,
+            ground_degenerate=self.report.degenerate,
+        )
+
+
+def _analysis(target) -> EvenVacuumAnalysis:
+    return target if isinstance(target, EvenVacuumAnalysis) else EvenVacuumAnalysis(target)
+
+
+def maximize_site(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
+    """Geometric entanglement against uniform single-site product states:
+    dense xi grid followed by golden-section refinement."""
+    analysis = _analysis(spec)
+    xi, log_lambda, grid_xi, grid_log_lambda = analysis.site_optimum
+    if grid_log_lambda > log_lambda:
+        xi, log_lambda = grid_xi, grid_log_lambda
+    return analysis.result(log_lambda, SiteAnsatz(float(xi)), "per_site")
+
+
+def maximize_block(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
     """Geometric entanglement against uniform two-site-block product states:
     multi-start ascent over the amplitude 3-sphere, seeded with coordinate
     vertices, random points, and the embedded single-site and period-2
     optima."""
-    degenerate = _require_even_vacuum(spec)
-    angles = even_vacuum_angles(spec)
-    m, q = _block_forms(angles, spec.sites)
-    weights = np.ones(m.shape[0])
-    _, site_embed = _site_optimum_embedding(angles, spec.sites)
-    _, af_t = _maximize_af(m, q, weights)
-    starts = _block_starts([site_embed, _af_vector(af_t[0], af_t[1])])
+    analysis = _analysis(spec)
+    m, q, weights = analysis.forms
+    xi = analysis.site_optimum[0]
+    c, s = math.cos(xi / 2.0), math.sin(xi / 2.0)
+    af_t = analysis.af_optimum[1]
+    starts = _block_starts([np.array([c * c, c * s, c * s, s * s]), _af_vector(af_t[0], af_t[1])])
     log_lambda, v = _maximize_on_sphere(m, q, weights, starts)
-    optimum = BlockAnsatz(*(float(x) for x in v))
-    return _result(log_lambda, spec.sites, optimum, "per_block", degenerate)
+    return analysis.result(log_lambda, BlockAnsatz(*(float(x) for x in v)), "per_block")
 
 
-def maximize_site_af(spec: ModelSpec) -> EntanglementResult:
+def maximize_site_af(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
     """Per-site geometric entanglement against period-2 product states
     (independent states on the two sites of each block), the family that
-    stays faithful for antiferromagnetic order."""
-    degenerate = _require_even_vacuum(spec)
-    angles = even_vacuum_angles(spec)
-    m, q = _block_forms(angles, spec.sites)
-    weights = np.ones(m.shape[0])
-    xi_site, _ = _site_optimum_embedding(angles, spec.sites)
-    log_lambda, t = _maximize_af(m, q, weights, extra_starts=[(xi_site / 2.0, xi_site / 2.0)])
-    v = _af_vector(t[0], t[1])
-    for comp in v:
-        if abs(comp) > 1e-12:
-            if comp < 0.0:
-                v = -v
-            break
-    optimum = BlockAnsatz(*(float(x) for x in v))
-    return _result(log_lambda, spec.sites, optimum, "per_site_af", degenerate)
+    stays faithful for antiferromagnetic order.  The grid-start optimum is
+    compared with one more ascent from the embedded site optimum."""
+    analysis = _analysis(spec)
+    m, q, weights = analysis.forms
+    xi = analysis.site_optimum[0]
+    log_lambda, t = _maximize_af(
+        m, q, weights, [np.array([xi / 2.0, xi / 2.0])], *analysis.af_optimum
+    )
+    v = _canonical_sign(_af_vector(t[0], t[1]))
+    return analysis.result(log_lambda, BlockAnsatz(*(float(x) for x in v)), "per_site_af")
 
 
 # --- thermodynamic limit ------------------------------------------------------
@@ -490,38 +517,19 @@ def theta_function(spec: ModelSpec):
     field = spec.field
 
     def theta(mu):
-        mu_arr = np.asarray(mu, dtype=float)
-        args = np.multiply.outer(mu_arr, spans)
+        args = np.multiply.outer(np.asarray(mu, dtype=float), spans)
         alpha = field - np.sum(strengths * np.cos(args), axis=-1)
         beta = np.sum(signs * strengths * np.sin(args), axis=-1)
-        root = np.sqrt(alpha * alpha + beta * beta)
-        c2 = np.where(root > 0.0, alpha / np.where(root > 0.0, root, 1.0), 1.0)
-        sin_t = np.where(beta >= 0.0, 1.0, -1.0) * np.sqrt(np.clip((1.0 - c2) / 2.0, 0.0, 1.0))
-        cos_t = np.sqrt(np.clip((1.0 + c2) / 2.0, 0.0, 1.0))
-        out = np.arctan2(sin_t, cos_t)
-        out = np.where(root == 0.0, 0.0, out)
+        out = bogoliubov_angle(alpha, beta)
         return out if out.shape else float(out)
 
     return theta
 
 
-def _thermo_forms(theta_of_mu, mu):
-    t1 = np.asarray(theta_of_mu(mu), dtype=float)
-    t2 = np.asarray(theta_of_mu(np.pi - mu), dtype=float)
-    cot = 1.0 / np.tan(mu)
-    m = np.zeros((mu.size, 4, 4))
-    m[:, 0, 0] = np.cos(t1) * np.cos(t2)
-    m[:, 3, 3] = np.sin(t1) * np.sin(t2)
-    m[:, 1, 1] = m[:, 2, 2] = 0.5 * np.sin(t1 - t2) * cot
-    m[:, 1, 2] = m[:, 2, 1] = 0.5 * np.sin(t1 + t2) * cot * np.cos(mu)
-    m[:, 0, 3] = m[:, 3, 0] = 0.5 * np.sin(t1 + t2) * np.sin(mu)
-    return m
-
-
 def _thermo_integrand(theta_of_mu, v):
     def integrand(mu):
         mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
-        m = _thermo_forms(theta_of_mu, mu_arr)
+        m = pair_forms(theta_of_mu(mu_arr), theta_of_mu(np.pi - mu_arr), mu_arr)
         vals = np.einsum("kij,i,j->k", m, v, v)
         out = np.log(np.maximum(np.abs(vals), _TINY))
         return float(out[0]) if np.isscalar(mu) or np.asarray(mu).shape == () else out
@@ -546,10 +554,8 @@ def thermo_block_density(theta_of_mu, quad_tol: float = THERMO_QUAD_TOL) -> floa
     mu = 0.5 * math.pi * u * u
     weights = du * math.pi * u  # d(mu) = pi * u * du
 
-    m = _thermo_forms(theta_of_mu, mu)
-    q = None
-    starts = _block_starts([])
-    log_integral, v = _maximize_on_sphere(m, q, weights, starts)
+    m = pair_forms(theta_of_mu(mu), theta_of_mu(np.pi - mu), mu)
+    log_integral, v = _maximize_on_sphere(m, None, weights, _block_starts([]))
 
     integrand = _thermo_integrand(theta_of_mu, v)
     value, abserr, info = quad(

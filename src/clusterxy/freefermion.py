@@ -92,6 +92,12 @@ class GroundReport:
     ground_sector: Sector
     even_vacuum: bool
 
+    @property
+    def degenerate(self) -> bool:
+        """True when the first excited level lies within the degeneracy
+        tolerance of the ground level."""
+        return self.gap < DEGENERACY_RTOL * max(1.0, abs(self.ground_energy))
+
 
 @dataclass(frozen=True)
 class _ModeArrays:
@@ -138,20 +144,23 @@ def _mode_arrays(spec: ModelSpec, sector: Sector) -> _ModeArrays:
     elif n % 2 == 1:
         special[(n - 1) // 2] = True
 
-    root = np.sqrt(alpha * alpha + beta * beta)
-    epsilon = np.where(special, 2.0 * alpha, 2.0 * root)
+    epsilon = np.where(special, 2.0 * alpha, 2.0 * np.sqrt(alpha * alpha + beta * beta))
+    theta = bogoliubov_angle(alpha, beta)
+    theta[special] = 0.0
 
-    # Bogoliubov angle: cos(2 theta) = alpha / root with sin(theta) carrying
-    # sgn(beta) (sgn(0) = +1); theta = 0 for special and zero-energy modes.
+    return _ModeArrays(alpha, beta, theta, epsilon, special, partner)
+
+
+def bogoliubov_angle(alpha, beta) -> np.ndarray:
+    """Bogoliubov angle of modes with coefficients (alpha, beta):
+    cos(2 theta) = alpha / sqrt(alpha^2 + beta^2) with sin(theta) carrying
+    sgn(beta) (sgn(0) = +1), and theta = 0 where alpha = beta = 0."""
+    root = np.sqrt(alpha * alpha + beta * beta)
     with np.errstate(invalid="ignore", divide="ignore"):
         c2 = np.where(root > 0.0, alpha / np.where(root > 0.0, root, 1.0), 1.0)
     sin_t = np.where(beta >= 0.0, 1.0, -1.0) * np.sqrt(np.clip((1.0 - c2) / 2.0, 0.0, 1.0))
     cos_t = np.sqrt(np.clip((1.0 + c2) / 2.0, 0.0, 1.0))
-    theta = np.arctan2(sin_t, cos_t)
-    theta[special] = 0.0
-    theta[root == 0.0] = 0.0
-
-    return _ModeArrays(alpha, beta, theta, epsilon, special, partner)
+    return np.where(root == 0.0, 0.0, np.arctan2(sin_t, cos_t))
 
 
 def mode_data(spec: ModelSpec, sector: Sector) -> list[ModeData]:

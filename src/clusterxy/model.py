@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class BlockKind(Enum):
@@ -106,6 +106,8 @@ def preset_xnmy(n: int, m: int, r: float, h: float, sites: int) -> ModelSpec:
     model), n = m = 1 the XzY model, and n = m = sites/2 - 1 the halfway
     model (sites even).
     """
+    if n != int(n) or m != int(m):
+        raise ValueError(f"mediator counts must be integers, got n={n}, m={m}")
     return make_model(
         sites,
         h,
@@ -168,6 +170,57 @@ def preset_spt_afm(lam: float, sites: int, halfway: bool = False) -> ModelSpec:
 def preset_free(h: float, sites: int) -> ModelSpec:
     """Non-interacting spins in a transverse field (no blocks)."""
     return make_model(sites, h, [])
+
+
+def _build_xny(params: dict, sites: int) -> ModelSpec:
+    n = params["n"]
+    m = params["m"] if params.get("m") is not None else n
+    if params.get("halfway"):
+        n = m = sites // 2 - 1
+    return preset_xnmy(n, m, params["r"], params["h"], sites)
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A named model family: the parameters it reads, a one-line
+    description, and its builder(parameters, sites)."""
+
+    parameters: tuple[str, ...]
+    description: str
+    build: Callable[[dict, int], ModelSpec]
+
+
+#: The preset families by name, in listing order.
+PRESETS: dict[str, Preset] = {
+    "free": Preset(
+        ("h",), "non-interacting spins in a transverse field",
+        lambda p, n: preset_free(p["h"], n),
+    ),
+    "xy": Preset(
+        ("r", "h"), "standard XY chain (anisotropy r, field h)",
+        lambda p, n: preset_xny(0, p["r"], p["h"], n),
+    ),
+    "xzy": Preset(
+        ("r", "h"), "XY chain with one mediating Z per interaction",
+        lambda p, n: preset_xny(1, p["r"], p["h"], n),
+    ),
+    "xny": Preset(("n", "m", "r", "h"), "XY chain with n (and m) mediating Z's", _build_xny),
+    "halfway-xy": Preset(
+        ("r", "h"), "XY chain with interactions spanning half the ring",
+        lambda p, n: preset_halfway_xy(p["r"], p["h"], n),
+    ),
+    "ghz-cluster": Preset(
+        ("g",), "rotated GHZ-cluster chain", lambda p, n: preset_ghz_cluster(p["g"], n)
+    ),
+    "spt-afm": Preset(
+        ("lambda", "halfway"), "cluster term competing with an AFM YY coupling",
+        lambda p, n: preset_spt_afm(p["lambda"], n, halfway=bool(p.get("halfway"))),
+    ),
+    "spt-afm-halfway": Preset(
+        ("lambda",), "spt-afm with the halfway-span cluster term",
+        lambda p, n: preset_spt_afm(p["lambda"], n, halfway=True),
+    ),
+}
 
 
 def to_pauli_strings(spec: ModelSpec) -> list[PauliString]:

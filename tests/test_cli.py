@@ -61,7 +61,7 @@ def test_output_deterministic(tmp_path, capsys):
         "--sites", "16", "--quantities", "ent_site,ent_block,derivative",
     ]
     assert main(argv + ["--out", str(out_a)]) == 0
-    assert main(argv + ["--out", str(out_b), "--jobs", "3"]) == 0
+    assert main(argv + ["--out", str(out_b)]) == 0
     capsys.readouterr()
     text_a = out_a.read_bytes()
     text_b = out_b.read_bytes()
@@ -145,11 +145,31 @@ def test_thermo_verb(capsys):
 
 
 def test_thermo_rejects_halfway(capsys):
-    code, _, err = run_cli(
-        ["thermo", "--model", "halfway-xy", "--sweep", "h:0:1:0.5", "--sites", "8"], capsys
-    )
+    cases = [
+        ["--model", "halfway-xy", "--sweep", "h:0:1:0.5"],
+        ["--model", "spt-afm-halfway", "--sweep", "lambda:0.2:0.6:0.2"],
+        ["--model", "spt-afm", "--halfway", "--sweep", "lambda:0.2:0.6:0.2"],
+        ["--model", "xny", "--halfway", "--r", "0.5", "--sweep", "h:0:1:0.5"],
+    ]
+    for argv in cases:
+        for sites in ("8", "12"):
+            code, _, err = run_cli(["thermo", *argv, "--sites", sites], capsys)
+            assert code == 2, argv
+            assert "halfway" in err, argv
+
+
+def test_integer_parameter_sweep(capsys):
+    base = ["gap-scan", "--model", "xny", "--r", "0.5", "--h", "0.5", "--sites", "8"]
+    code, out, err = run_cli(base + ["--sweep", "n:0:1:0.5"], capsys)
     assert code == 2
-    assert "halfway" in err
+    assert "integer" in err and out == ""
+    code, _, err = run_cli(base + ["--m", "1", "--sweep", "m:0:1:0.5"], capsys)
+    assert code == 2
+    assert "integer" in err
+    code, out, _ = run_cli(base + ["--sweep", "n:0:2:1"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [json.loads(r[3])["blocks"][0]["mediators"] for r in rows] == [0, 1, 2]
 
 
 def test_validation_errors_exit_2(capsys):
@@ -186,6 +206,13 @@ def test_check_negative_control(capsys):
     )
     assert code == 4
     assert "state_fidelity" in out
+
+
+def test_check_rejects_no_points(capsys):
+    for points in ("0", "-1"):
+        code, out, err = run_cli(["check", "--sites", "6", "--points", points], capsys)
+        assert code == 2
+        assert "points" in err and out == ""
 
 
 def test_check_size_guard(capsys):

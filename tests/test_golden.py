@@ -2,8 +2,11 @@
 
 Each case runs ``clusterxy.cli.main`` in-process and compares its stdout with
 ``tests/golden/<name>.out`` byte for byte.  The thermo cases are the one
-exception: their float cells may move by rounding in the last place, so those
-cells are compared to ``THERMO_RTOL`` relative.  Re-record with
+exception: their float cells are compared to ``THERMO_ATOL`` absolute.  A
+thermo density is -1/(pi ln 2) times an integral of log|factor|, whose
+integrand is of order one while the density can be 0.01, so a last-place
+change in the integrand moves the density by about one ulp of 1, not of the
+density.  Re-record with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -23,7 +26,7 @@ import pytest
 from clusterxy.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-THERMO_RTOL = 1e-15
+THERMO_ATOL = 1e-15
 ENT = ["--quantities", "ent_site,ent_af,ent_block,gap,derivative"]
 
 CASES = {
@@ -66,34 +69,33 @@ def run_case(name: str) -> str:
     return out.getvalue()
 
 
-def _cells_match(got: str, want: str, rtol: float) -> bool:
+def _cells_match(got: str, want: str, atol: float) -> bool:
     if got == want:
         return True
     try:
-        a, b = float(got), float(want)
+        return abs(float(got) - float(want)) <= atol
     except ValueError:
         return False
-    return abs(a - b) <= rtol * abs(b)
 
 
-def first_difference(got: str, want: str, rtol: float = 0.0) -> str | None:
+def first_difference(got: str, want: str, atol: float = 0.0) -> str | None:
     """The first differing line (1-based) of two outputs, or None.  With
-    ``rtol`` > 0, data lines are compared cell by cell, floats to ``rtol``."""
+    ``atol`` > 0, data lines are compared cell by cell, floats to ``atol``."""
     got_lines, want_lines = got.splitlines(), want.splitlines()
     for i, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
         if g == w:
             continue
-        if rtol > 0.0 and not g.startswith("#"):
+        if atol > 0.0 and not g.startswith("#"):
             g_cells = next(csv.reader([g]))
             w_cells = next(csv.reader([w]))
             if len(g_cells) == len(w_cells) and all(
-                _cells_match(a, b, rtol) for a, b in zip(g_cells, w_cells)
+                _cells_match(a, b, atol) for a, b in zip(g_cells, w_cells)
             ):
                 continue
         return f"line {i}:\n  got:  {g}\n  want: {w}"
     if len(got_lines) != len(want_lines):
         return f"line count {len(got_lines)} != golden {len(want_lines)}"
-    if rtol == 0.0 and got != want:
+    if atol == 0.0 and got != want:
         return "line endings or trailing newline differ"
     return None
 
@@ -101,8 +103,8 @@ def first_difference(got: str, want: str, rtol: float = 0.0) -> str | None:
 @pytest.mark.parametrize("name", list(CASES))
 def test_golden_output(name):
     want = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
-    rtol = THERMO_RTOL if CASES[name][0] == "thermo" else 0.0
-    diff = first_difference(run_case(name), want, rtol)
+    atol = THERMO_ATOL if CASES[name][0] == "thermo" else 0.0
+    diff = first_difference(run_case(name), want, atol)
     assert diff is None, f"{name} differs from its golden at {diff}"
 
 
