@@ -123,6 +123,16 @@ class ModelSource:
         used = mdl.PRESETS[self.preset].parameters
         return tuple(p for p in used if p != "halfway") + (("field",) if "h" in used else ())
 
+    def check_sweep(self, param: str) -> None:
+        """Raise ValueError unless ``param`` can be swept for this model."""
+        valid = self.sweepable()
+        if param in valid and param in ("n", "m") and self.params["halfway"]:
+            raise ValueError(f"cannot sweep {param!r} with --halfway, which sets the spans to sites/2 - 1")
+        if param not in valid:
+            raise ValueError(
+                f"cannot sweep {param!r} for this model; valid parameters: {', '.join(valid)}"
+            )
+
     def build(self, sites: int, override: tuple[str, float] | None = None) -> mdl.ModelSpec:
         if self.path is not None:
             field_value = self.base.field
@@ -409,11 +419,7 @@ def _scan_request(args, source: ModelSource, quantities=(), extras=None) -> Scan
         sites = (source.default_sites(),)
     else:
         sites = (8,)
-    if sweep[0] not in source.sweepable():
-        raise ValueError(
-            f"cannot sweep {sweep[0]!r} for this model; valid parameters: "
-            f"{', '.join(source.sweepable())}"
-        )
+    source.check_sweep(sweep[0])
     return ScanRequest(
         command=args.command,
         model=source.describe(),

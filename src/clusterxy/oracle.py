@@ -10,10 +10,9 @@ all-up state is basis index 0 (the Jordan-Wigner fermion vacuum).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.optimize import minimize
 
 from .model import ModelSpec, PauliString, to_pauli_strings
@@ -27,44 +26,91 @@ MAX_DENSE_SITES = 14
 #: Brute-force block/af overlap maximization cap (ansatz expansion cost).
 MAX_BRUTE_SITES = 10
 
-_PAULI = {
-    "I": np.eye(2),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
+
+def _popcount_sign(bits: np.ndarray) -> np.ndarray:
+    """(-1)^popcount of each entry, as integers +-1."""
+    return 1 - 2 * (np.bitwise_count(bits) & 1).astype(int)
+
+
+def parity_diagonal(n: int) -> np.ndarray:
+    """Diagonal of the fermion-parity operator prod_j Z_j: (-1)^popcount."""
+    return _popcount_sign(np.arange(2**n)).astype(float)
 
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """A Hermitian operator on the full 2^N-dimensional spin space."""
+    """A Hermitian operator on the full 2^N-dimensional spin space.
+
+    ``parity_blocks`` declares that the operator commutes with the fermion
+    parity prod_j Z_j: the entries coupling the even and the odd sector must
+    then be exactly zero, and the two sector blocks are checked and
+    diagonalized on their own.
+    """
 
     dimension: int
     entries: np.ndarray
+    parity_blocks: bool = False
 
     def __post_init__(self):
-        if self.entries.shape != (self.dimension, self.dimension):
+        h = self.entries
+        if h.shape != (self.dimension, self.dimension):
             raise ValueError("entries shape does not match dimension")
-        if not np.allclose(self.entries, self.entries.conj().T, atol=1e-12):
-            raise ValueError("operator is not Hermitian within 1e-12")
+        if self.parity_blocks:
+            even = parity_diagonal(self.dimension.bit_length() - 1) > 0
+            sectors = (np.flatnonzero(even), np.flatnonzero(~even))
+            if np.any(h[np.ix_(*sectors)]) or np.any(h[np.ix_(*sectors[::-1])]):
+                raise ValueError("operator couples the fermion-parity sectors")
+            blocks = [(idx, h[np.ix_(idx, idx)]) for idx in sectors]
+        else:
+            blocks = [(np.arange(self.dimension), h)]
+        for _, block in blocks:
+            if not np.allclose(block, block.conj().T, atol=1e-12):
+                raise ValueError("operator is not Hermitian within 1e-12")
+        # held until the first diagonalization consumes them
+        object.__setattr__(self, "_blocks", blocks)
+
+    @cached_property
+    def eigensystem(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(basis indices, ascending eigenvalues, eigenvectors) of each
+        diagonalized block: the even then the odd parity block, or the whole
+        space.  Computed once per operator."""
+        system = [(idx, *np.linalg.eigh(block)) for idx, block in self._blocks]
+        object.__delattr__(self, "_blocks")
+        return system
+
+
+def _mask(letters: str, chosen: str) -> int:
+    """Bit mask of the sites whose letter is in ``chosen``."""
+    return int("".join("1" if ch in chosen else "0" for ch in letters), 2)
 
 
 def dense_hamiltonian(strings: list[PauliString]) -> DenseOperator:
-    """Sum of Kronecker-expanded Pauli strings as a dense matrix."""
+    """Sum of Pauli strings as a dense matrix, filled from basis-index bits.
+
+    A string maps basis state b to i^{n_Y} (-1)^{popcount(b & YZ)} |b ^ XY>,
+    where XY (YZ) masks the sites carrying X or Y (Y or Z): X and Y flip
+    their bit, Y and Z read it as a sign.  The matrix is real when every
+    string has an even number of Y letters, and it splits into parity
+    blocks when every string flips an even number of bits.
+    """
     if not strings:
         raise ValueError("no Pauli strings given")
     n = len(strings[0].letters)
     if n > MAX_DENSE_SITES:
         raise ValueError(f"dense construction capped at {MAX_DENSE_SITES} sites, got {n}")
+    if any(len(ps.letters) != n for ps in strings):
+        raise ValueError("inconsistent string lengths")
     dim = 2**n
-    acc = sparse.csr_matrix((dim, dim), dtype=complex)
-    for ps in strings:
-        if len(ps.letters) != n:
-            raise ValueError("inconsistent string lengths")
-        mats = [sparse.csr_matrix(_PAULI[ch]) for ch in ps.letters]
-        term = reduce(lambda a, b: sparse.kron(a, b, format="csr"), mats)
-        acc = acc + ps.coefficient * term
-    return DenseOperator(dim, np.asarray(acc.todense()))
+    basis = np.arange(dim)
+    n_y = [ps.letters.count("Y") for ps in strings]
+    h = np.zeros((dim, dim), dtype=complex if any(k % 2 for k in n_y) else float)
+    parity_blocks = True
+    for ps, k in zip(strings, n_y):
+        flip = _mask(ps.letters, "XY")
+        signs = _popcount_sign(basis & _mask(ps.letters, "YZ"))
+        h[basis ^ flip, basis] += ps.coefficient * (1, 1j, -1, -1j)[k % 4] * signs
+        parity_blocks = parity_blocks and flip.bit_count() % 2 == 0
+    return DenseOperator(dim, h, parity_blocks)
 
 
 def model_hamiltonian(spec: ModelSpec) -> DenseOperator:
@@ -72,30 +118,12 @@ def model_hamiltonian(spec: ModelSpec) -> DenseOperator:
     return dense_hamiltonian(to_pauli_strings(spec))
 
 
-def _eigh(op: DenseOperator, vectors: bool):
-    h = op.entries
-    if np.all(h.imag == 0.0):
-        h = h.real
-    if vectors:
-        return np.linalg.eigh(h)
-    return np.linalg.eigvalsh(h), None
-
-
 def exact_spectrum(op: DenseOperator, count: int) -> list[float]:
     """The ``count`` smallest eigenvalues, ascending."""
     if count > op.dimension:
         raise ValueError("count exceeds the operator dimension")
-    vals, _ = _eigh(op, vectors=False)
+    vals = np.sort(np.concatenate([vals for _, vals, _ in op.eigensystem]))
     return [float(v) for v in vals[:count]]
-
-
-def parity_diagonal(n: int) -> np.ndarray:
-    """Diagonal of the fermion-parity operator prod_j Z_j: (-1)^popcount."""
-    idx = np.arange(2**n, dtype=np.uint64)
-    pop = np.zeros(2**n, dtype=int)
-    for bit in range(n):
-        pop += ((idx >> np.uint64(bit)) & np.uint64(1)).astype(int)
-    return np.where(pop % 2 == 0, 1.0, -1.0)
 
 
 def exact_ground_state(op: DenseOperator) -> np.ndarray:
@@ -103,25 +131,25 @@ def exact_ground_state(op: DenseOperator) -> np.ndarray:
 
     On numerical degeneracy the even-fermion-parity representative is
     returned (when one exists in the degenerate subspace), matching the
-    even-vacuum convention of the analytic solver.  The global phase is
-    fixed by making the largest-magnitude amplitude real and positive.
+    even-vacuum convention of the analytic solver: the lowest even-block
+    vector, or for an operator without parity blocks the largest even
+    projection of a ground vector.  The global phase is fixed by making the
+    largest-magnitude amplitude real and positive.
     """
-    vals, vecs = _eigh(op, vectors=True)
-    tol = 1e-10 * max(1.0, abs(vals[0]))
-    cluster = np.flatnonzero(vals <= vals[0] + tol)
-    n = int(round(np.log2(op.dimension)))
-    vec = None
-    if cluster.size > 1:
-        par = parity_diagonal(n)
-        sub = vecs[:, cluster]
-        even_part = 0.5 * (sub + par[:, None] * sub)
+    blocks = op.eigensystem
+    ground = min(vals[0] for _, vals, _ in blocks)
+    tol = 1e-10 * max(1.0, abs(ground))
+    idx, vals, vecs = next(block for block in blocks if block[1][0] <= ground + tol)
+    vec = np.zeros(op.dimension, dtype=complex)
+    vec[idx] = vecs[:, 0]
+    cluster = vals <= ground + tol
+    if not op.parity_blocks and np.count_nonzero(cluster) > 1:
+        even = parity_diagonal(op.dimension.bit_length() - 1) > 0
+        even_part = vecs[:, cluster] * even[:, None]
         norms = np.linalg.norm(even_part, axis=0)
         best = int(np.argmax(norms))
         if norms[best] > 1e-8:
-            vec = even_part[:, best] / norms[best]
-    if vec is None:
-        vec = vecs[:, 0]
-    vec = np.asarray(vec, dtype=complex)
+            vec = np.asarray(even_part[:, best] / norms[best], dtype=complex)
     pivot = int(np.argmax(np.abs(vec)))
     phase = vec[pivot] / abs(vec[pivot])
     vec = vec / phase
@@ -130,25 +158,14 @@ def exact_ground_state(op: DenseOperator) -> np.ndarray:
 
 # --- even-vacuum reconstruction in the spin basis ---------------------------
 
-def _jw_annihilators(n: int) -> list[sparse.csr_matrix]:
-    """Jordan-Wigner c_j = (prod_{l<j} Z_l) |up><down|_j as sparse matrices."""
-    z = sparse.csr_matrix(np.diag([1.0, -1.0]))
-    eye = sparse.identity(2, format="csr")
-    lower = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    ops = []
-    for j in range(n):
-        mats = [z] * j + [lower] + [eye] * (n - j - 1)
-        ops.append(reduce(lambda a, b: sparse.kron(a, b, format="csr"), mats))
-    return ops
-
-
 def reconstruct_even_vacuum(spec: ModelSpec, angle_sign: float = 1.0) -> np.ndarray:
     """Even-sector Bogoliubov vacuum expanded in the spin basis.
 
     Applies prod_{k < N/2} [cos(theta_k) + i sin(theta_k) c+_k c+_{N-k-1}]
     to the all-up state, with momentum operators built from the Jordan-
-    Wigner images.  ``angle_sign`` exists so cross-check harnesses can feed
-    a deliberately corrupted angle convention.
+    Wigner images c+_j = (prod_{l<j} Z_l) |down><up|_j: a bit flip with the
+    sign of the popcount of the sites before j.  ``angle_sign`` exists so
+    cross-check harnesses can feed a deliberately corrupted angle convention.
     """
     n = spec.sites
     if n % 2 != 0:
@@ -156,16 +173,22 @@ def reconstruct_even_vacuum(spec: ModelSpec, angle_sign: float = 1.0) -> np.ndar
     if n > MAX_DENSE_SITES:
         raise ValueError(f"reconstruction capped at {MAX_DENSE_SITES} sites")
     theta = angle_sign * _mode_arrays(spec, Sector.EVEN).theta[: n // 2]
-    cdag = [op.conj().T.tocsr() for op in _jw_annihilators(n)]
+    dim = 2**n
+    basis = np.arange(dim)
+    raising = []  # per site j: (states with j up, the same with j down, JW sign)
+    for j in range(n):
+        bit = 1 << (n - 1 - j)
+        up = basis[(basis & bit) == 0]
+        raising.append((up, up | bit, _popcount_sign(up & (dim - 2 * bit))))
     sites = np.arange(n)
-    state = np.zeros(2**n, dtype=complex)
+    state = np.zeros(dim, dtype=complex)
     state[0] = 1.0
     for k in range(n // 2):
         def create(mode: int, vec: np.ndarray) -> np.ndarray:
             phases = np.exp(1j * 2.0 * np.pi * sites * (mode + 0.5) / n) / np.sqrt(n)
             out = np.zeros_like(vec)
-            for j in range(n):
-                out += phases[j] * (cdag[j] @ vec)
+            for j, (up, down, sign) in enumerate(raising):
+                out[down] += phases[j] * (sign * vec[up])
             return out
 
         pair = create(k, create(n - 1 - k, state))

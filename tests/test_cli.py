@@ -172,6 +172,20 @@ def test_integer_parameter_sweep(capsys):
     assert [json.loads(r[3])["blocks"][0]["mediators"] for r in rows] == [0, 1, 2]
 
 
+def test_halfway_rejects_span_sweep(capsys):
+    # --halfway fixes n = m = sites/2 - 1, so a sweep of either would print
+    # identical rows
+    base = ["gap-scan", "--model", "xny", "--halfway", "--r", "0.5", "--sites", "8"]
+    for sweep in ("n:0:2:1", "m:0:2:1"):
+        code, out, err = run_cli(base + ["--sweep", sweep], capsys)
+        assert code == 2, sweep
+        assert "--halfway" in err and out == ""
+    code, out, _ = run_cli(base + ["--sweep", "h:0:1:0.5"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 3
+
+
 def test_validation_errors_exit_2(capsys):
     cases = [
         ["gap-scan", "--model", "nosuch", "--sweep", "h:0:1:0.5"],

@@ -8,7 +8,7 @@ integrand is of order one while the density can be 0.01, so a last-place
 change in the integrand moves the density by about one ulp of 1, not of the
 density.  Re-record with
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record [case ...]
 
 only when an output change is intended, and say why in CHANGES.md.
 """
@@ -109,8 +109,9 @@ def test_golden_output(name):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
-    for case in CASES:
+    names = sys.argv[2:] or list(CASES)
+    if sys.argv[1:2] != ["--record"] or set(names) - set(CASES):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record [case ...]")
+    for case in names:
         (GOLDEN / f"{case}.out").write_bytes(run_case(case).encode("utf-8"))
         print(f"recorded {case}")

@@ -1,7 +1,10 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 import clusterxy as cx
+from clusterxy.crosscheck import check_model
 from clusterxy.model import PauliString
 from clusterxy.oracle import parity_diagonal
 
@@ -19,6 +22,92 @@ def test_dense_xx_antidiagonal():
     expected[0, 3] = expected[3, 0] = -1.0  # |uu> <-> |dd>
     expected[1, 2] = expected[2, 1] = -1.0  # |ud> <-> |du>
     assert np.allclose(op.entries, expected)
+
+
+_KRON_PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
+}
+
+
+def _kron_reference(strings):
+    """Sum of the strings as Kronecker products of 2x2 Pauli matrices, site
+    0 the leftmost factor."""
+    n = len(strings[0].letters)
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for ps in strings:
+        h += ps.coefficient * reduce(np.kron, [_KRON_PAULI[ch] for ch in ps.letters])
+    return h
+
+
+def test_dense_matches_kronecker_reference():
+    rng = np.random.default_rng(5)
+    cases = [[PauliString(0.7, "XY")], [PauliString(-1.3, "Y")],
+             [PauliString(0.4, "YZY"), PauliString(1.1, "XIY"), PauliString(-0.2, "ZZI")]]
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        cases.append([
+            PauliString(float(rng.normal()), "".join(rng.choice(list("IXYZ"), size=n)))
+            for _ in range(int(rng.integers(1, 6)))
+        ])
+    for strings in cases:
+        op = cx.dense_hamiltonian(strings)
+        reference = _kron_reference(strings)
+        assert np.array_equal(op.entries, reference), [ps.letters for ps in strings]
+        odd_y = any(ps.letters.count("Y") % 2 for ps in strings)
+        assert np.iscomplexobj(op.entries) == odd_y
+        odd_flip = any((ps.letters.count("X") + ps.letters.count("Y")) % 2 for ps in strings)
+        assert op.parity_blocks == (not odd_flip)
+
+
+def test_parity_blocks_match_full_spectrum():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(12):
+        spec = random_spec(rng, int(rng.integers(2, 9)))
+        if not spec.blocks and spec.field == 0.0:
+            continue
+        op = cx.model_hamiltonian(spec)
+        assert op.parity_blocks
+        full = np.linalg.eigh(op.entries)[0]
+        blocked = np.array(cx.exact_spectrum(op, op.dimension))
+        assert np.max(np.abs(blocked - full)) <= 1e-12
+        checked += 1
+    assert checked >= 8
+
+
+def test_check_point_diagonalizes_once(monkeypatch):
+    calls = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def counting(name, func):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, a.shape[0]))
+            return func(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cx.oracle.np.linalg, "eigh", counting("eigh", eigh))
+    monkeypatch.setattr(cx.oracle.np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
+    rows = check_model("spt-afm", cx.preset_spt_afm(0.5, 8), 0.5)
+    assert [row.check for row in rows] == [
+        "energy", "gap", "state_fidelity", "overlap_site", "overlap_block"]
+    assert all(row.passed for row in rows)
+    # the even and the odd parity block, 2^7 each, and no full 2^8 call
+    assert calls == [("eigh", 128), ("eigh", 128)]
+
+
+def test_dense_operator_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="Hermitian"):
+        cx.DenseOperator(2, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        cx.DenseOperator(2, np.array([[0.0, 1.0j], [1.0j, 0.0]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        cx.DenseOperator(2, np.array([[1.0, 2e-12], [0.0, 1.0]]))
+    # the parity-block path requires the sectors to be exactly uncoupled
+    with pytest.raises(ValueError, match="parity"):
+        cx.DenseOperator(2, np.array([[0.0, 1.0], [1.0, 0.0]]), parity_blocks=True)
 
 
 def test_dense_size_guard():
@@ -147,13 +236,18 @@ def test_cluster_state_stabilizers():
 
 def test_ground_state_parity_tiebreak():
     # on the factorization circle the ground level is exactly degenerate;
-    # the returned representative must have even fermion parity
+    # the returned representative must have even fermion parity, whether it
+    # comes from the even parity block or, for an operator given without
+    # its parity structure, from the full eigenbasis
     spec = cx.preset_xny(0, 0.6, 0.8, 8)
-    vals = cx.exact_spectrum(cx.model_hamiltonian(spec), 2)
-    assert vals[1] - vals[0] == pytest.approx(0.0, abs=1e-10)
-    vec = cx.exact_ground_state(cx.model_hamiltonian(spec))
+    built = cx.model_hamiltonian(spec)
+    raw = cx.DenseOperator(built.dimension, built.entries)
     par = parity_diagonal(8)
-    assert np.vdot(vec, par * vec).real == pytest.approx(1.0, abs=1e-9)
+    for op in (built, raw):
+        vals = cx.exact_spectrum(op, 2)
+        assert vals[1] - vals[0] == pytest.approx(0.0, abs=1e-10)
+        vec = cx.exact_ground_state(op)
+        assert np.vdot(vec, par * vec).real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_direct_overlap_trivial():
