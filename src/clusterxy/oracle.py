@@ -28,8 +28,12 @@ MAX_BRUTE_SITES = 10
 
 
 def _popcount_sign(bits: np.ndarray) -> np.ndarray:
-    """(-1)^popcount of each entry, as integers +-1."""
-    return 1 - 2 * (np.bitwise_count(bits) & 1).astype(int)
+    """(-1)^popcount of each non-negative entry, as integers +-1: XOR-folding
+    the bits leaves their parity in the lowest one."""
+    bits = np.asarray(bits, dtype=np.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        bits = bits ^ (bits >> shift)
+    return 1 - 2 * (bits & 1)
 
 
 def parity_diagonal(n: int) -> np.ndarray:
