@@ -9,7 +9,7 @@ all-up state is basis index 0 (the Jordan-Wigner fermion vacuum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -43,44 +43,47 @@ def parity_diagonal(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """A Hermitian operator on the full 2^N-dimensional spin space.
+    """A Hermitian operator, usually on the full 2^N-dimensional spin space.
 
-    ``parity_blocks`` declares that the operator commutes with the fermion
-    parity prod_j Z_j: the entries coupling the even and the odd sector must
-    then be exactly zero, and the two sector blocks are checked and
-    diagonalized on their own.
+    When the dimension is 2^N and the entries coupling the even and the odd
+    sector of the fermion parity prod_j Z_j are exactly zero, the operator
+    commutes with the parity and ``blocks`` holds the two sector blocks,
+    each checked and diagonalized on its own.  Otherwise ``blocks`` holds
+    the whole matrix as one block.
     """
 
     dimension: int
     entries: np.ndarray
-    parity_blocks: bool = False
+    #: (basis indices, sub-matrix) of each block, derived from ``entries``
+    blocks: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = self.entries
         if h.shape != (self.dimension, self.dimension):
             raise ValueError("entries shape does not match dimension")
-        if self.parity_blocks:
-            even = parity_diagonal(self.dimension.bit_length() - 1) > 0
+        blocks = [(np.arange(self.dimension), h)]
+        n = self.dimension.bit_length() - 1
+        if n > 0 and self.dimension == 2**n:
+            even = parity_diagonal(n) > 0
             sectors = (np.flatnonzero(even), np.flatnonzero(~even))
-            if np.any(h[np.ix_(*sectors)]) or np.any(h[np.ix_(*sectors[::-1])]):
-                raise ValueError("operator couples the fermion-parity sectors")
-            blocks = [(idx, h[np.ix_(idx, idx)]) for idx in sectors]
-        else:
-            blocks = [(np.arange(self.dimension), h)]
+            if not (np.any(h[np.ix_(*sectors)]) or np.any(h[np.ix_(*sectors[::-1])])):
+                blocks = [(idx, h[np.ix_(idx, idx)]) for idx in sectors]
         for _, block in blocks:
             if not np.allclose(block, block.conj().T, atol=1e-12):
                 raise ValueError("operator is not Hermitian within 1e-12")
-        # held until the first diagonalization consumes them
-        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def parity_blocks(self) -> bool:
+        """Whether the operator splits into even and odd parity blocks."""
+        return len(self.blocks) == 2
 
     @cached_property
     def eigensystem(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(basis indices, ascending eigenvalues, eigenvectors) of each
-        diagonalized block: the even then the odd parity block, or the whole
-        space.  Computed once per operator."""
-        system = [(idx, *np.linalg.eigh(block)) for idx, block in self._blocks]
-        object.__delattr__(self, "_blocks")
-        return system
+        block: the even then the odd parity block, or the whole space.
+        Computed once per operator."""
+        return [(idx, *np.linalg.eigh(block)) for idx, block in self.blocks]
 
 
 def _mask(letters: str, chosen: str) -> int:
@@ -94,8 +97,7 @@ def dense_hamiltonian(strings: list[PauliString]) -> DenseOperator:
     A string maps basis state b to i^{n_Y} (-1)^{popcount(b & YZ)} |b ^ XY>,
     where XY (YZ) masks the sites carrying X or Y (Y or Z): X and Y flip
     their bit, Y and Z read it as a sign.  The matrix is real when every
-    string has an even number of Y letters, and it splits into parity
-    blocks when every string flips an even number of bits.
+    string has an even number of Y letters.
     """
     if not strings:
         raise ValueError("no Pauli strings given")
@@ -108,13 +110,11 @@ def dense_hamiltonian(strings: list[PauliString]) -> DenseOperator:
     basis = np.arange(dim)
     n_y = [ps.letters.count("Y") for ps in strings]
     h = np.zeros((dim, dim), dtype=complex if any(k % 2 for k in n_y) else float)
-    parity_blocks = True
     for ps, k in zip(strings, n_y):
         flip = _mask(ps.letters, "XY")
         signs = _popcount_sign(basis & _mask(ps.letters, "YZ"))
         h[basis ^ flip, basis] += ps.coefficient * (1, 1j, -1, -1j)[k % 4] * signs
-        parity_blocks = parity_blocks and flip.bit_count() % 2 == 0
-    return DenseOperator(dim, h, parity_blocks)
+    return DenseOperator(dim, h)
 
 
 def model_hamiltonian(spec: ModelSpec) -> DenseOperator:
@@ -147,8 +147,9 @@ def exact_ground_state(op: DenseOperator) -> np.ndarray:
     vec = np.zeros(op.dimension, dtype=complex)
     vec[idx] = vecs[:, 0]
     cluster = vals <= ground + tol
-    if not op.parity_blocks and np.count_nonzero(cluster) > 1:
-        even = parity_diagonal(op.dimension.bit_length() - 1) > 0
+    n = op.dimension.bit_length() - 1
+    if not op.parity_blocks and op.dimension == 2**n and np.count_nonzero(cluster) > 1:
+        even = parity_diagonal(n) > 0
         even_part = vecs[:, cluster] * even[:, None]
         norms = np.linalg.norm(even_part, axis=0)
         best = int(np.argmax(norms))

@@ -105,9 +105,24 @@ def test_dense_operator_rejects_non_hermitian():
         cx.DenseOperator(2, np.array([[0.0, 1.0j], [1.0j, 0.0]]))
     with pytest.raises(ValueError, match="Hermitian"):
         cx.DenseOperator(2, np.array([[1.0, 2e-12], [0.0, 1.0]]))
-    # the parity-block path requires the sectors to be exactly uncoupled
-    with pytest.raises(ValueError, match="parity"):
-        cx.DenseOperator(2, np.array([[0.0, 1.0], [1.0, 0.0]]), parity_blocks=True)
+
+
+def test_dense_operator_derives_its_blocks():
+    # a matrix whose parity sectors are exactly uncoupled splits in two
+    assert cx.DenseOperator(2, np.diag([1.0, -1.0])).parity_blocks
+    # any entry coupling the sectors keeps the whole matrix as one block
+    coupled = cx.DenseOperator(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert not coupled.parity_blocks
+    assert cx.exact_spectrum(coupled, 2) == pytest.approx([-1.0, 1.0], abs=1e-12)
+    # a dimension that is not a power of two has no parity sectors: every
+    # eigenvalue is kept
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(6, 6))
+    odd_dim = cx.DenseOperator(6, a + a.T)
+    assert not odd_dim.parity_blocks
+    spectrum = cx.exact_spectrum(odd_dim, 6)
+    assert np.max(np.abs(np.array(spectrum) - np.linalg.eigvalsh(a + a.T))) <= 1e-12
+    assert cx.exact_ground_state(odd_dim).shape == (6,)
 
 
 def test_dense_size_guard():
@@ -236,18 +251,29 @@ def test_cluster_state_stabilizers():
 
 def test_ground_state_parity_tiebreak():
     # on the factorization circle the ground level is exactly degenerate;
-    # the returned representative must have even fermion parity, whether it
-    # comes from the even parity block or, for an operator given without
-    # its parity structure, from the full eigenbasis
+    # the returned representative must have even fermion parity, taken from
+    # the even parity block
     spec = cx.preset_xny(0, 0.6, 0.8, 8)
-    built = cx.model_hamiltonian(spec)
-    raw = cx.DenseOperator(built.dimension, built.entries)
+    op = cx.model_hamiltonian(spec)
+    assert op.parity_blocks
+    vals = cx.exact_spectrum(op, 2)
+    assert vals[1] - vals[0] == pytest.approx(0.0, abs=1e-10)
+    vec = cx.exact_ground_state(op)
     par = parity_diagonal(8)
-    for op in (built, raw):
-        vals = cx.exact_spectrum(op, 2)
-        assert vals[1] - vals[0] == pytest.approx(0.0, abs=1e-10)
-        vec = cx.exact_ground_state(op)
-        assert np.vdot(vec, par * vec).real == pytest.approx(1.0, abs=1e-9)
+    assert np.vdot(vec, par * vec).real == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ground_state_parity_tiebreak_without_blocks():
+    # a 1e-12 entry coupling the even |00> and the odd |01> forbids the
+    # parity blocks and splits their level into (|00> -+ |01>)/sqrt(2),
+    # numerically degenerate: the even vector is found by projecting the
+    # full ground eigenbasis
+    h = np.diag([-1.0, -1.0, 0.0, 0.0])
+    h[0, 1] = h[1, 0] = 1e-12
+    op = cx.DenseOperator(4, h)
+    assert not op.parity_blocks
+    vec = cx.exact_ground_state(op)
+    assert np.abs(vec) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
 
 
 def test_direct_overlap_trivial():
