@@ -14,7 +14,7 @@ from . import model as mdl
 from .freefermion import ground_and_gap, even_vacuum_angles
 from .entanglement import overlap_site, overlap_block
 from .oracle import (
-    MAX_BRUTE_SITES,
+    MAX_DENSE_SITES,
     direct_overlap,
     exact_ground_state,
     exact_spectrum,
@@ -143,9 +143,9 @@ def run_checks(
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     for n in sites:
-        if n > MAX_BRUTE_SITES:
+        if n > MAX_DENSE_SITES:
             raise ValueError(
-                f"oracle checks are capped at {MAX_BRUTE_SITES} sites, got {n}"
+                f"oracle checks are capped at {MAX_DENSE_SITES} sites, got {n}"
             )
     rows: list[CheckRow] = []
     grid = np.linspace(span[0], span[1], points)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -537,6 +537,21 @@ def _thermo_integrand(theta_of_mu, v):
     return integrand
 
 
+@cache
+def _thermo_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The THERMO_NODES-point Gauss-Legendre rule on (0, pi/2) after the
+    substitution mu = (pi/2) u^2, as read-only (nodes, weights); built once
+    per process, on first use."""
+    nodes, gl_weights = np.polynomial.legendre.leggauss(THERMO_NODES)
+    u = 0.5 * (nodes + 1.0)
+    du = 0.5 * gl_weights
+    mu = 0.5 * math.pi * u * u
+    weights = du * math.pi * u  # d(mu) = pi * u * du
+    mu.flags.writeable = False
+    weights.flags.writeable = False
+    return mu, weights
+
+
 def thermo_block_density(theta_of_mu, quad_tol: float = THERMO_QUAD_TOL) -> float:
     """Thermodynamic-limit per-site density of the two-site-block
     entanglement: -1/pi times the integral of log2 of the overlap factor
@@ -548,12 +563,7 @@ def thermo_block_density(theta_of_mu, quad_tol: float = THERMO_QUAD_TOL) -> floa
     adaptive quadrature to ``quad_tol`` and a QuadratureError is raised if
     that fails to converge.
     """
-    nodes, gl_weights = np.polynomial.legendre.leggauss(THERMO_NODES)
-    u = 0.5 * (nodes + 1.0)
-    du = 0.5 * gl_weights
-    mu = 0.5 * math.pi * u * u
-    weights = du * math.pi * u  # d(mu) = pi * u * du
-
+    mu, weights = _thermo_rule()
     m = pair_forms(theta_of_mu(mu), theta_of_mu(np.pi - mu), mu)
     log_integral, v = _maximize_on_sphere(m, None, weights, _block_starts([]))
 

@@ -69,7 +69,7 @@ class DenseOperator:
             if not (np.any(h[np.ix_(*sectors)]) or np.any(h[np.ix_(*sectors[::-1])])):
                 blocks = [(idx, h[np.ix_(idx, idx)]) for idx in sectors]
         for _, block in blocks:
-            if not np.allclose(block, block.conj().T, atol=1e-12):
+            if not np.allclose(block, block.conj().T, rtol=0.0, atol=1e-12):
                 raise ValueError("operator is not Hermitian within 1e-12")
         object.__setattr__(self, "blocks", blocks)
 

@@ -394,21 +394,22 @@ def test_criterion_11_ansatz_nesting(
 
     for (r, n), (hs, site_results) in xzy_scans.items():
         for h, site_res in zip(hs, site_results):
-            spec = cx.preset_xny(1, r, float(h), n)
-            check_triple(site_res, cx.maximize_site_af(spec), cx.maximize_block(spec))
+            analysis = cx.EvenVacuumAnalysis(cx.preset_xny(1, r, float(h), n))
+            check_triple(site_res, cx.maximize_site_af(analysis), cx.maximize_block(analysis))
     for n, (lams, af_results) in spt_scans.items():
         for lam, af_res in zip(lams, af_results):
-            spec = cx.preset_spt_afm(float(lam), n)
-            check_triple(cx.maximize_site(spec), af_res, cx.maximize_block(spec))
+            analysis = cx.EvenVacuumAnalysis(cx.preset_spt_afm(float(lam), n))
+            check_triple(cx.maximize_site(analysis), af_res, cx.maximize_block(analysis))
     for n, (hs, site_results) in halfway_scans.items():
         for h, site_res in zip(hs, site_results):
-            spec = cx.preset_halfway_xy(1.0, float(h), n)
-            check_triple(site_res, cx.maximize_site_af(spec), cx.maximize_block(spec))
+            analysis = cx.EvenVacuumAnalysis(cx.preset_halfway_xy(1.0, float(h), n))
+            check_triple(site_res, cx.maximize_site_af(analysis), cx.maximize_block(analysis))
     for res, spec in (
         (ghz_point_result, cx.preset_ghz_cluster(0.0, 128)),
         (circle_point_result, cx.preset_xny(0, 0.6, 0.8, 64)),
     ):
-        check_triple(res, cx.maximize_site_af(spec), cx.maximize_block(spec))
+        analysis = cx.EvenVacuumAnalysis(spec)
+        check_triple(res, cx.maximize_site_af(analysis), cx.maximize_block(analysis))
 
     _verdict(
         11,

@@ -230,6 +230,19 @@ def test_check_rejects_no_points(capsys):
 
 
 def test_check_size_guard(capsys):
-    code, _, err = run_cli(["check", "--sites", "12"], capsys)
+    # the guard is the dense oracle's own limit (14 sites); it rejects the
+    # size before any matrix is built
+    code, _, err = run_cli(["check", "--sites", "16"], capsys)
     assert code == 2
     assert "capped" in err
+
+
+def test_check_runs_at_twelve_sites(capsys):
+    code, out, _ = run_cli(
+        ["check", "--presets", "xzy", "--sites", "12", "--points", "1", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows
+    assert all(row[1] == 12 and row[-1] == "pass" for row in rows)

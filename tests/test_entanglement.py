@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import clusterxy as cx
-from clusterxy.entanglement import EvenVacuumError, _block_forms
+from clusterxy.entanglement import THERMO_NODES, EvenVacuumError, _block_forms, _thermo_rule
 
 
 def test_overlap_site_vacuum_limits():
@@ -207,6 +207,27 @@ def test_thermo_matches_large_finite_ghz():
     density = cx.thermo_block_density(cx.theta_function(cx.preset_ghz_cluster(0.5, 16)))
     finite = cx.maximize_block(cx.preset_ghz_cluster(0.5, 512))
     assert density == pytest.approx(finite.density, abs=1e-3)
+
+
+def test_thermo_rule_built_once(monkeypatch):
+    legendre = np.polynomial.legendre
+    leggauss = legendre.leggauss
+    calls = []
+
+    def counting(deg):
+        calls.append(deg)
+        return leggauss(deg)
+
+    monkeypatch.setattr(legendre, "leggauss", counting)
+    _thermo_rule.cache_clear()
+    theta = cx.theta_function(cx.preset_xny(1, 0.5, 0.8, 16))
+    first = cx.thermo_block_density(theta)
+    assert cx.thermo_block_density(theta) == first
+    assert calls == [THERMO_NODES]
+    mu, weights = _thermo_rule()
+    for arr in (mu, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_theta_function_matches_finite_grid():

@@ -105,6 +105,11 @@ def test_dense_operator_rejects_non_hermitian():
         cx.DenseOperator(2, np.array([[0.0, 1.0j], [1.0j, 0.0]]))
     with pytest.raises(ValueError, match="Hermitian"):
         cx.DenseOperator(2, np.array([[1.0, 2e-12], [0.0, 1.0]]))
+    # the tolerance is absolute: a 1e-6 asymmetry next to entries of order
+    # one is rejected, and one below 1e-12 is accepted
+    with pytest.raises(ValueError, match="Hermitian"):
+        cx.DenseOperator(2, np.array([[1.0, 1.0], [1.0 + 1e-6, 1.0]]))
+    assert cx.DenseOperator(2, np.array([[1.0, 1.0], [1.0 + 5e-13, 1.0]])).dimension == 2
 
 
 def test_dense_operator_derives_its_blocks():
