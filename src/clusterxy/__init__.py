@@ -21,16 +21,11 @@ from .model import (
 )
 from .freefermion import (
     GroundReport,
-    ModeData,
     Sector,
-    SectorSolution,
     bogoliubov_angle,
     even_vacuum_angles,
     ground_and_gap,
-    mode_data,
-    parity_constrained_minimum,
     sector_levels,
-    sector_solution,
     sector_states,
 )
 from .entanglement import (

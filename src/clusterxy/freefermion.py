@@ -28,6 +28,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -55,34 +56,6 @@ class Sector(Enum):
 
 
 @dataclass(frozen=True)
-class ModeData:
-    """Per-momentum quantities of one sector.
-
-    ``partner`` is the paired momentum N - k - 2b; special (self-paired)
-    modes have partner == k, theta == 0, and epsilon == 2*alpha.
-    """
-
-    k: int
-    alpha: float
-    beta: float
-    theta: float
-    epsilon: float
-    special: bool
-    partner: int
-
-
-@dataclass(frozen=True)
-class SectorSolution:
-    """Lowest level of one parity sector plus the next level above it."""
-
-    sector: Sector
-    energy: float
-    occupation: frozenset[int]
-    second_energy: float
-    degenerate: bool
-
-
-@dataclass(frozen=True)
 class GroundReport:
     """Global ground energy, first excited energy, and their difference."""
 
@@ -101,14 +74,25 @@ class GroundReport:
 
 @dataclass(frozen=True)
 class _ModeArrays:
-    """Vectorized per-mode data (internal workhorse)."""
+    """Per-momentum data of one sector.
+
+    ``partner`` is the paired momentum N - k - 2b; special (self-paired)
+    modes have partner == k, theta == 0, and epsilon == 2*alpha.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
-    theta: np.ndarray
     epsilon: np.ndarray
     special: np.ndarray
     partner: np.ndarray
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """Bogoliubov angles, computed on first read: the level search
+        never needs them."""
+        theta = bogoliubov_angle(self.alpha, self.beta)
+        theta[self.special] = 0.0
+        return theta
 
 
 def _mode_arrays(spec: ModelSpec, sector: Sector) -> _ModeArrays:
@@ -145,10 +129,7 @@ def _mode_arrays(spec: ModelSpec, sector: Sector) -> _ModeArrays:
         special[(n - 1) // 2] = True
 
     epsilon = np.where(special, 2.0 * alpha, 2.0 * np.sqrt(alpha * alpha + beta * beta))
-    theta = bogoliubov_angle(alpha, beta)
-    theta[special] = 0.0
-
-    return _ModeArrays(alpha, beta, theta, epsilon, special, partner)
+    return _ModeArrays(alpha, beta, epsilon, special, partner)
 
 
 def bogoliubov_angle(alpha, beta) -> np.ndarray:
@@ -161,23 +142,6 @@ def bogoliubov_angle(alpha, beta) -> np.ndarray:
     sin_t = np.where(beta >= 0.0, 1.0, -1.0) * np.sqrt(np.clip((1.0 - c2) / 2.0, 0.0, 1.0))
     cos_t = np.sqrt(np.clip((1.0 + c2) / 2.0, 0.0, 1.0))
     return np.where(root == 0.0, 0.0, np.arctan2(sin_t, cos_t))
-
-
-def mode_data(spec: ModelSpec, sector: Sector) -> list[ModeData]:
-    """Per-momentum alpha, beta, Bogoliubov angle, and energy for a sector."""
-    arr = _mode_arrays(spec, sector)
-    return [
-        ModeData(
-            k=k,
-            alpha=float(arr.alpha[k]),
-            beta=float(arr.beta[k]),
-            theta=float(arr.theta[k]),
-            epsilon=float(arr.epsilon[k]),
-            special=bool(arr.special[k]),
-            partner=int(arr.partner[k]),
-        )
-        for k in range(len(arr.epsilon))
-    ]
 
 
 def _constrained_minimum(epsilon: np.ndarray, parity: str) -> tuple[float, np.ndarray]:
@@ -210,16 +174,6 @@ def _constrained_minimum(epsilon: np.ndarray, parity: str) -> tuple[float, np.nd
     return energy, occ
 
 
-def parity_constrained_minimum(
-    modes: list[ModeData], parity: str
-) -> tuple[float, frozenset[int]]:
-    """Lowest sector energy with the given occupation-count parity, and the
-    occupied momentum set attaining it."""
-    epsilon = np.array([m.epsilon for m in modes])
-    energy, occ = _constrained_minimum(epsilon, parity)
-    return energy, frozenset(int(k) for k in np.flatnonzero(occ))
-
-
 def _sector_states_from_eps(
     epsilon: np.ndarray, parity: str, count: int
 ) -> list[tuple[float, np.ndarray]]:
@@ -231,6 +185,20 @@ def _sector_states_from_eps(
     energy the search reduces to enumerating subsets of non-negative costs
     in ascending sum order with a subset-size parity constraint, done here
     with the standard extend/replace heap.
+
+    Only the ``count + 1`` cheapest flips (in stable cost order) enter the
+    heap, so it does O(count) work however flat the band is.  This is exact.
+    The first ``count`` flips already hold ``count`` subsets of the needed
+    size parity: the ``count`` singletons when it is odd; the empty set and
+    the ``count - 1`` pairs that contain flip 0 when it is even.  A subset
+    holding a later flip costs at least as much as each of them, and on an
+    equal sum the heap's ``(sum, last position, ...)`` order pops the smaller
+    last position first.  An ancestor in the heap tree has a sum no larger
+    and a strictly smaller last position, so it pops first too.  Every
+    ancestor of a subset of the kept flips is itself such a subset, since a
+    step only extends or moves the last position up.  So the truncated heap
+    pops the same subsets as a heap over all N flips, in the same order and
+    with sums formed by the same additions, until it holds ``count`` levels.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -245,7 +213,7 @@ def _sector_states_from_eps(
     need_parity = int(neg.size % 2)
 
     costs = np.abs(toggle)
-    order = np.argsort(costs, kind="stable")
+    order = np.argsort(costs, kind="stable")[: count + 1]
     c = costs[order]
 
     out: list[tuple[float, np.ndarray]] = []
@@ -267,7 +235,7 @@ def _sector_states_from_eps(
         s, i, p, positions = heapq.heappop(heap)
         if p == need_parity:
             emit(base + s, positions)
-        if i + 1 < n:
+        if i + 1 < c.size:
             heapq.heappush(heap, (s + float(c[i + 1]), i + 1, p ^ 1, positions + (i + 1,)))
             heapq.heappush(
                 heap,
@@ -293,19 +261,6 @@ def sector_states(
 def sector_levels(spec: ModelSpec, sector: Sector, count: int) -> list[float]:
     """The ``count`` lowest many-body energies of a sector, ascending."""
     return [energy for energy, _ in sector_states(spec, sector, count)]
-
-
-def sector_solution(spec: ModelSpec, sector: Sector) -> SectorSolution:
-    """Lowest and next-lowest level of one sector, with a degeneracy flag."""
-    (e0, occ0), (e1, _) = sector_states(spec, sector, 2)
-    tol = DEGENERACY_RTOL * max(1.0, abs(e0))
-    return SectorSolution(
-        sector=sector,
-        energy=e0,
-        occupation=occ0,
-        second_energy=e1,
-        degenerate=(e1 - e0) < tol,
-    )
 
 
 def ground_and_gap(spec: ModelSpec) -> GroundReport:

@@ -86,16 +86,23 @@ def make_model(sites: int, field: float, blocks: Iterable[BlockSpec | tuple]) ->
     """Validate and construct a ModelSpec.
 
     ``blocks`` may contain BlockSpec instances or (kind, strength, mediators)
-    tuples.  Raises ValueError on invalid size, a block too long for the
-    ring, or non-finite parameters.
+    tuples.  Raises ValueError on invalid or fractional sizes, a block too
+    long for the ring, or non-finite parameters.
     """
     normalized = []
     for blk in blocks:
         if not isinstance(blk, BlockSpec):
             kind, strength, mediators = blk
-            blk = BlockSpec(BlockKind(kind), float(strength), int(mediators))
+            blk = BlockSpec(BlockKind(kind), float(strength), _whole("mediators", mediators))
         normalized.append(blk)
-    return ModelSpec(int(sites), float(field), tuple(normalized))
+    return ModelSpec(_whole("sites", sites), float(field), tuple(normalized))
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int; ValueError if it has a fractional part."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def preset_xnmy(n: int, m: int, r: float, h: float, sites: int) -> ModelSpec:

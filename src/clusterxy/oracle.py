@@ -203,12 +203,17 @@ def reconstruct_even_vacuum(spec: ModelSpec, angle_sign: float = 1.0) -> np.ndar
 
 # --- product ansatz states and overlaps -------------------------------------
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors, the same products without its reshaping."""
+    return np.multiply.outer(a, b).ravel()
+
+
 def site_product_state(n: int, amplitudes: np.ndarray) -> np.ndarray:
     """(a|up> + b|down>)^{tensor N} in the full basis."""
     one = np.asarray(amplitudes, dtype=complex)
     if one.shape != (2,):
         raise ValueError("site ansatz needs 2 amplitudes")
-    return reduce(np.kron, [one] * n)
+    return reduce(_kron, [one] * n)
 
 
 def block_product_state(n: int, amplitudes: np.ndarray) -> np.ndarray:
@@ -218,7 +223,7 @@ def block_product_state(n: int, amplitudes: np.ndarray) -> np.ndarray:
         raise ValueError("block ansatz needs 4 amplitudes")
     if n % 2 != 0:
         raise ValueError("block ansatz requires even sites")
-    return reduce(np.kron, [blk] * (n // 2))
+    return reduce(_kron, [blk] * (n // 2))
 
 
 def direct_overlap(state: np.ndarray, ansatz) -> float:

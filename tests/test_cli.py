@@ -172,6 +172,30 @@ def test_integer_parameter_sweep(capsys):
     assert [json.loads(r[3])["blocks"][0]["mediators"] for r in rows] == [0, 1, 2]
 
 
+def test_model_file_rejects_fractional_sizes(tmp_path, capsys):
+    # sites 8.7 or mediators 1.5 used to run as 8 sites and 1 mediator
+    good = {"sites": 8, "field": 0.5, "blocks": [{"kind": "x", "strength": 0.75, "mediators": 1}]}
+    for key, value in (("sites", 8.7), ("mediators", 1.5)):
+        data = json.loads(json.dumps(good))
+        if key == "sites":
+            data["sites"] = value
+        else:
+            data["blocks"][0]["mediators"] = value
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            ["gap-scan", "--model-file", str(path), "--sweep", "h:0.5:0.6:0.1"], capsys
+        )
+        assert code == 2, key
+        assert f"{key} must be an integer" in err and out == ""
+    # integral floats, as a JSON writer may emit them, still load
+    data = dict(good, sites=8.0)
+    path = tmp_path / "whole.json"
+    path.write_text(json.dumps(data))
+    code, _, _ = run_cli(["gap-scan", "--model-file", str(path), "--sweep", "h:0.5:0.6:0.1"], capsys)
+    assert code == 0
+
+
 def test_halfway_rejects_span_sweep(capsys):
     # --halfway fixes n = m = sites/2 - 1, so a sweep of either would print
     # identical rows

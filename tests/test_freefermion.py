@@ -1,10 +1,19 @@
+import heapq
 import math
+import types
 
 import numpy as np
 import pytest
 
 import clusterxy as cx
-from clusterxy.freefermion import Sector, _mode_arrays
+from clusterxy import freefermion
+from clusterxy.freefermion import (
+    DEGENERACY_RTOL,
+    Sector,
+    _constrained_minimum,
+    _mode_arrays,
+    _sector_states_from_eps,
+)
 
 from test_model import random_spec
 
@@ -26,29 +35,30 @@ def brute_sector_levels(epsilon, parity, count):
 
 def test_mode_data_xzy_special_mode():
     spec = cx.preset_xny(1, 1.0, 0.7, 8)
-    modes = cx.mode_data(spec, Sector.ODD)
-    assert modes[0].special and modes[0].partner == 0
-    assert modes[0].epsilon == pytest.approx(2 * (0.7 - 1.0), abs=1e-15)
-    assert modes[4].special  # k = N/2
-    assert modes[0].theta == 0.0
+    arr = _mode_arrays(spec, Sector.ODD)
+    assert arr.special[0] and arr.partner[0] == 0
+    assert arr.epsilon[0] == pytest.approx(2 * (0.7 - 1.0), abs=1e-15)
+    assert arr.special[4]  # k = N/2
+    assert arr.theta[0] == 0.0
 
 
 def test_mode_data_free_spins():
     spec = cx.preset_free(0.8, 6)
     for sector in (Sector.ODD, Sector.EVEN):
-        for m in cx.mode_data(spec, sector):
-            assert m.alpha == pytest.approx(0.8)
-            assert m.beta == 0.0
-            assert m.theta == 0.0
+        arr = _mode_arrays(spec, sector)
+        for k in range(6):
+            assert arr.alpha[k] == pytest.approx(0.8)
+            assert arr.beta[k] == 0.0
+            assert arr.theta[k] == 0.0
             expected = 2 * 0.8  # special modes coincide: 2*alpha == 2*sqrt(alpha^2)
-            assert m.epsilon == pytest.approx(expected)
+            assert arr.epsilon[k] == pytest.approx(expected)
 
 
 def test_mode_data_halfway_even_sector():
     spec = cx.preset_halfway_xy(0.5, 0.3, 8)
-    modes = cx.mode_data(spec, Sector.EVEN)
-    assert not any(m.special for m in modes)
-    assert modes[0].epsilon == pytest.approx(2 * math.sqrt(0.09 + 0.25), abs=1e-14)
+    arr = _mode_arrays(spec, Sector.EVEN)
+    assert not arr.special.any()
+    assert arr.epsilon[0] == pytest.approx(2 * math.sqrt(0.09 + 0.25), abs=1e-14)
 
 
 def test_mode_invariants_random_specs():
@@ -57,21 +67,22 @@ def test_mode_invariants_random_specs():
         sites = int(rng.integers(2, 12))
         spec = random_spec(rng, sites)
         for sector in (Sector.ODD, Sector.EVEN):
-            modes = cx.mode_data(spec, sector)
-            for m in modes:
-                if m.special:
-                    assert m.partner == m.k
-                    assert m.epsilon == pytest.approx(2 * m.alpha, abs=1e-15)
-                    assert m.theta == 0.0
+            arr = _mode_arrays(spec, sector)
+            for k in range(sites):
+                partner = arr.partner[k]
+                if arr.special[k]:
+                    assert partner == k
+                    assert arr.epsilon[k] == pytest.approx(2 * arr.alpha[k], abs=1e-15)
+                    assert arr.theta[k] == 0.0
                 else:
-                    assert m.epsilon >= 0.0
-                    assert m.epsilon == pytest.approx(
-                        2 * math.hypot(m.alpha, m.beta), abs=1e-13
+                    assert arr.epsilon[k] >= 0.0
+                    assert arr.epsilon[k] == pytest.approx(
+                        2 * math.hypot(arr.alpha[k], arr.beta[k]), abs=1e-13
                     )
                     # pairing symmetry holds exactly, not just approximately
-                    assert m.epsilon == modes[m.partner].epsilon
-                    assert m.alpha == modes[m.partner].alpha
-                    assert m.beta == -modes[m.partner].beta
+                    assert arr.epsilon[k] == arr.epsilon[partner]
+                    assert arr.alpha[k] == arr.alpha[partner]
+                    assert arr.beta[k] == -arr.beta[partner]
 
 
 def test_theta_branch_convention():
@@ -86,29 +97,26 @@ def test_theta_branch_convention():
 
 def test_three_fermion_regime():
     spec = cx.preset_xny(1, 1.0, -0.5, 8)
-    modes = cx.mode_data(spec, Sector.ODD)
-    energy, occ = cx.parity_constrained_minimum(modes, "odd")
+    energy, occ = cx.sector_states(spec, Sector.ODD, 1)[0]
     assert len(occ) == 3
     assert {0, 4} <= occ
-    eps = np.array([m.epsilon for m in modes])
+    eps = _mode_arrays(spec, Sector.ODD).epsilon
     assert energy == pytest.approx(brute_sector_levels(eps, "odd", 1)[0], abs=1e-12)
 
 
 def test_vacuum_even_when_all_positive():
     spec = cx.preset_free(1.0, 6)
-    modes = cx.mode_data(spec, Sector.EVEN)
-    energy, occ = cx.parity_constrained_minimum(modes, "even")
+    energy, occ = cx.sector_states(spec, Sector.EVEN, 1)[0]
     assert occ == frozenset()
-    assert energy == pytest.approx(-0.5 * sum(m.epsilon for m in modes))
+    assert energy == pytest.approx(-0.5 * _mode_arrays(spec, Sector.EVEN).epsilon.sum())
 
 
 def test_halfway_degenerate_minimum():
     # one- and three-fermion patterns tie at the odd-sector minimum
     spec = cx.preset_halfway_xy(0.5, 0.5, 8)
-    modes = cx.mode_data(spec, Sector.ODD)
-    eps = np.array([m.epsilon for m in modes])
+    eps = _mode_arrays(spec, Sector.ODD).epsilon
     levels = brute_sector_levels(eps, "odd", 4)
-    energy, _ = cx.parity_constrained_minimum(modes, "odd")
+    energy, _ = cx.sector_states(spec, Sector.ODD, 1)[0]
     assert energy == pytest.approx(levels[0], abs=1e-12)
     assert levels[1] == pytest.approx(levels[0], abs=1e-12)  # degenerate
     sizes = set()
@@ -127,9 +135,8 @@ def test_constrained_minimum_matches_enumeration():
         sites = int(rng.integers(2, 11))
         spec = random_spec(rng, sites)
         for sector in (Sector.ODD, Sector.EVEN):
-            modes = cx.mode_data(spec, sector)
-            eps = np.array([m.epsilon for m in modes])
-            energy, occ = cx.parity_constrained_minimum(modes, sector.parity)
+            eps = _mode_arrays(spec, sector).epsilon
+            energy, occ = cx.sector_states(spec, sector, 1)[0]
             want_odd = sector.parity == "odd"
             assert (len(occ) % 2 == 1) == want_odd
             assert energy == pytest.approx(
@@ -189,12 +196,137 @@ def test_ghz_sector_minima_difference():
     assert odd - even == pytest.approx(8 * 0.5**2, abs=1e-12)
 
 
-def test_sector_solution_degenerate_flag():
-    solution = cx.sector_solution(cx.preset_halfway_xy(0.5, 0.5, 8), Sector.ODD)
-    assert solution.degenerate
-    assert solution.second_energy >= solution.energy
-    clean = cx.sector_solution(cx.preset_xny(1, 0.5, 0.5, 8), Sector.EVEN)
-    assert not clean.degenerate
+def test_sector_states_degenerate_second_level():
+    def degenerate(spec, sector):
+        (e0, _), (e1, _) = cx.sector_states(spec, sector, 2)
+        assert e1 >= e0
+        return (e1 - e0) < DEGENERACY_RTOL * max(1.0, abs(e0))
+
+    assert degenerate(cx.preset_halfway_xy(0.5, 0.5, 8), Sector.ODD)
+    assert not degenerate(cx.preset_xny(1, 0.5, 0.5, 8), Sector.EVEN)
+
+
+# --- bounded level search ------------------------------------------------------
+
+
+def full_heap_states(epsilon, parity, count):
+    """Reference level search: the extend/replace heap over all N sorted
+    flip costs, as it was before the search was bounded."""
+    n = epsilon.size
+    e0, occ0 = _constrained_minimum(epsilon, parity)
+    toggle = np.where(occ0, -epsilon, epsilon)
+    neg = np.flatnonzero(toggle < 0.0)
+    base = e0 + float(toggle[neg].sum())
+    need_parity = int(neg.size % 2)
+    costs = np.abs(toggle)
+    order = np.argsort(costs, kind="stable")
+    c = costs[order]
+    out = []
+
+    def emit(total, positions):
+        flips = set(int(order[p]) for p in positions) ^ set(int(k) for k in neg)
+        occ = occ0.copy()
+        for k in flips:
+            occ[k] = ~occ[k]
+        out.append((total, occ))
+
+    if need_parity == 0:
+        emit(base, ())
+    heap = [(float(c[0]), 0, 1, (0,))]
+    while heap and len(out) < count:
+        s, i, p, positions = heapq.heappop(heap)
+        if p == need_parity:
+            emit(base + s, positions)
+        if i + 1 < n:
+            heapq.heappush(heap, (s + float(c[i + 1]), i + 1, p ^ 1, positions + (i + 1,)))
+            heapq.heappush(
+                heap,
+                (s - float(c[i]) + float(c[i + 1]), i + 1, p, positions[:-1] + (i + 1,)),
+            )
+    return out[:count]
+
+
+# (preset, centre) of the N=4096 gap-scan families, each sampled at its
+# centre and 0.1 to either side
+GAP_SCAN_FAMILIES = (
+    (lambda h: cx.preset_xny(1, 0.5, h, 4096), 1.0),
+    (lambda h: cx.preset_xny(1, 1.0, h, 4096), 1.0),
+    (lambda lam: cx.preset_spt_afm(lam, 4096), 1.0),
+    (lambda g: cx.preset_ghz_cluster(g, 4096), 0.0),
+    (lambda h: cx.preset_halfway_xy(0.7, h, 4096), 0.714),
+)
+
+
+def bounded_search_cases():
+    rng = np.random.default_rng(23)
+    for f, (build, centre) in enumerate(GAP_SCAN_FAMILIES):
+        for x in (centre - 0.1, centre, centre + 0.1):
+            for sector in (Sector.ODD, Sector.EVEN):
+                yield f"family {f} at {x} {sector.value}", _mode_arrays(build(x), sector).epsilon
+    halfway = cx.preset_halfway_xy(0.7, 0.5, 4096)
+    for sector in (Sector.ODD, Sector.EVEN):
+        yield f"halfway h=0.5 {sector.value}", _mode_arrays(halfway, sector).epsilon
+    yield "all equal", np.full(40, 0.75)
+    yield "all zero", np.zeros(12)
+    yield "zeros and ties", np.array([0.0, 0.5, 0.0, 0.5, 0.5, 1.0, 0.0, 1.0, 0.5, 0.0])
+    yield "one negative", np.array([0.4, -0.3, 0.4, 0.9, 0.1, 0.4, 2.0, 0.1])
+    yield "one negative, flat", np.concatenate([[-1e-3], np.full(30, 2.0)])
+    for trial in range(20):
+        eps = np.abs(rng.normal(size=int(rng.integers(6, 60))))
+        if trial % 2:
+            eps[int(rng.integers(eps.size))] *= -1.0
+        yield f"random {trial}", eps
+
+
+def test_bounded_search_matches_full_heap():
+    for label, eps in bounded_search_cases():
+        for parity in ("odd", "even"):
+            for count in (1, 2, 16):
+                want = full_heap_states(eps, parity, count)
+                got = _sector_states_from_eps(eps, parity, count)
+                assert len(got) == len(want) == count, label
+                for (e_got, occ_got), (e_want, occ_want) in zip(got, want):
+                    assert e_got == e_want, (label, parity, count)
+                    assert np.array_equal(occ_got, occ_want), (label, parity, count)
+
+
+def test_halfway_ground_and_gap_pops_few(monkeypatch):
+    pops = []
+
+    def heappop(heap):
+        pops.append(1)
+        return heapq.heappop(heap)
+
+    counting = types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+    monkeypatch.setattr(freefermion, "heapq", counting)
+    cx.ground_and_gap(cx.preset_halfway_xy(0.7, 0.8, 4096))
+    assert len(pops) <= 16
+
+
+def test_angles_computed_only_where_read(monkeypatch):
+    calls = []
+    angle = freefermion.bogoliubov_angle
+
+    def counting(alpha, beta):
+        calls.append(1)
+        return angle(alpha, beta)
+
+    monkeypatch.setattr(freefermion, "bogoliubov_angle", counting)
+    specs = [
+        cx.preset_xny(1, 0.5, 0.9, 64),
+        cx.preset_halfway_xy(0.7, 0.8, 64),
+        cx.preset_spt_afm(0.5, 32),
+        cx.preset_ghz_cluster(0.3, 16),
+    ]
+    for spec in specs:
+        cx.ground_and_gap(spec)
+    assert calls == []
+    for spec in specs:
+        arr = _mode_arrays(spec, Sector.EVEN)
+        reference = angle(arr.alpha, arr.beta)
+        reference[arr.special] = 0.0
+        assert np.array_equal(cx.even_vacuum_angles(spec), reference[: spec.sites // 2])
+    assert len(calls) == len(specs)
 
 
 # --- ground state and gap ----------------------------------------------------

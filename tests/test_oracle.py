@@ -304,6 +304,20 @@ def test_direct_overlap_dimension_mismatch():
         cx.direct_overlap(np.ones(3) / np.sqrt(3), cx.SiteAnsatz(0.0))
 
 
+def test_product_states_match_kronecker_reference():
+    rng = np.random.default_rng(17)
+    for n in range(2, 11):
+        site = rng.normal(size=2) + 1j * rng.normal(size=2)
+        assert np.array_equal(
+            cx.oracle.site_product_state(n, site), reduce(np.kron, [site] * n)
+        )
+        if n % 2 == 0:
+            block = rng.normal(size=4) + 1j * rng.normal(size=4)
+            assert np.array_equal(
+                cx.oracle.block_product_state(n, block), reduce(np.kron, [block] * (n // 2))
+            )
+
+
 def test_brute_product_state_has_zero_entanglement():
     state = cx.oracle.site_product_state(6, np.array([0.6, 0.8]))
     for kind in ("site", "block", "af_site"):
