@@ -113,14 +113,12 @@ def preset_xnmy(n: int, m: int, r: float, h: float, sites: int) -> ModelSpec:
     model), n = m = 1 the XzY model, and n = m = sites/2 - 1 the halfway
     model (sites even).
     """
-    if n != int(n) or m != int(m):
-        raise ValueError(f"mediator counts must be integers, got n={n}, m={m}")
     return make_model(
         sites,
         h,
         [
-            BlockSpec(BlockKind.X, (1.0 + r) / 2.0, int(n)),
-            BlockSpec(BlockKind.Y, (1.0 - r) / 2.0, int(m)),
+            BlockSpec(BlockKind.X, (1.0 + r) / 2.0, _whole("n", n)),
+            BlockSpec(BlockKind.Y, (1.0 - r) / 2.0, _whole("m", m)),
         ],
     )
 

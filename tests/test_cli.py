@@ -174,26 +174,24 @@ def test_integer_parameter_sweep(capsys):
 
 def test_model_file_rejects_fractional_sizes(tmp_path, capsys):
     # sites 8.7 or mediators 1.5 used to run as 8 sites and 1 mediator
-    good = {"sites": 8, "field": 0.5, "blocks": [{"kind": "x", "strength": 0.75, "mediators": 1}]}
-    for key, value in (("sites", 8.7), ("mediators", 1.5)):
-        data = json.loads(json.dumps(good))
-        if key == "sites":
-            data["sites"] = value
-        else:
-            data["blocks"][0]["mediators"] = value
+    block = {"kind": "x", "strength": 0.75, "mediators": 1}
+    good = {"sites": 8, "field": 0.5, "blocks": [block]}
+    cases = {
+        "sites": dict(good, sites=8.7),
+        "mediators": dict(good, blocks=[dict(block, mediators=1.5)]),
+        "whole": dict(good, sites=8.0),  # integral floats still load
+    }
+    for key, data in cases.items():
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(
             ["gap-scan", "--model-file", str(path), "--sweep", "h:0.5:0.6:0.1"], capsys
         )
-        assert code == 2, key
-        assert f"{key} must be an integer" in err and out == ""
-    # integral floats, as a JSON writer may emit them, still load
-    data = dict(good, sites=8.0)
-    path = tmp_path / "whole.json"
-    path.write_text(json.dumps(data))
-    code, _, _ = run_cli(["gap-scan", "--model-file", str(path), "--sweep", "h:0.5:0.6:0.1"], capsys)
-    assert code == 0
+        if key == "whole":
+            assert code == 0
+        else:
+            assert code == 2, key
+            assert f"{key} must be an integer" in err and out == ""
 
 
 def test_halfway_rejects_span_sweep(capsys):
