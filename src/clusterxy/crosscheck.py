@@ -26,6 +26,12 @@ ENERGY_TOL = 1e-9
 FIDELITY_TOL = 1e-9
 OVERLAP_TOL = 1e-9
 
+#: random ansatz states per closed-form overlap check
+OVERLAP_SAMPLES = 20
+
+#: parameter range every preset grid of ``run_checks`` spans
+SPAN = (-2.0, 2.0)
+
 #: check name -> (preset in ``model.PRESETS``, swept parameter, fixed parameters)
 CHECK_PRESETS: dict[str, tuple[str, str, dict]] = {
     "xy": ("xy", "h", {"r": 0.5}),
@@ -63,17 +69,16 @@ def check_model(
     spec: mdl.ModelSpec,
     parameter: float,
     *,
-    include_fidelity: bool = True,
-    include_overlaps: bool = True,
-    overlap_samples: int = 20,
+    include_state: bool = True,
     flip_theta_sign: bool = False,
     rng: np.random.Generator | None = None,
 ) -> list[CheckRow]:
     """Compare the analytic solution of one model against dense exact
-    diagonalization; returns one row per comparison."""
+    diagonalization; returns one row per comparison.  ``include_state``
+    adds the state fidelity and the closed-form overlap rows to the energy
+    and gap rows."""
     rows: list[CheckRow] = []
     report = ground_and_gap(spec)
-    need_state = include_fidelity or include_overlaps
     ham = model_hamiltonian(spec)
     exact = exact_spectrum(ham, 2)
 
@@ -83,7 +88,7 @@ def check_model(
     rows.append(CheckRow(name, spec.sites, parameter, "gap", gap_err, ENERGY_TOL, gap_err <= ENERGY_TOL))
 
     eligible = (
-        need_state
+        include_state
         and spec.sites % 2 == 0
         and report.even_vacuum
         and not report.degenerate
@@ -94,31 +99,29 @@ def check_model(
     ground = exact_ground_state(ham)
     sign = -1.0 if flip_theta_sign else 1.0
 
-    if include_fidelity:
-        recon = reconstruct_even_vacuum(spec, angle_sign=sign)
-        fid = abs(np.vdot(ground, recon))
-        rows.append(
-            CheckRow(name, spec.sites, parameter, "state_fidelity", 1.0 - fid, FIDELITY_TOL, 1.0 - fid <= FIDELITY_TOL)
-        )
+    recon = reconstruct_even_vacuum(spec, angle_sign=sign)
+    fid = abs(np.vdot(ground, recon))
+    rows.append(
+        CheckRow(name, spec.sites, parameter, "state_fidelity", 1.0 - fid, FIDELITY_TOL, 1.0 - fid <= FIDELITY_TOL)
+    )
 
-    if include_overlaps:
-        rng = rng or np.random.default_rng(1234)
-        angles = sign * even_vacuum_angles(spec)
-        err_site = 0.0
-        for xi in _random_site_angles(rng, overlap_samples):
-            closed = abs(overlap_site(angles, float(xi), spec.sites))
-            amp = np.array([np.cos(xi / 2.0), np.sin(xi / 2.0)])
-            err_site = max(err_site, abs(closed - direct_overlap(ground, amp)))
-        rows.append(
-            CheckRow(name, spec.sites, parameter, "overlap_site", err_site, OVERLAP_TOL, err_site <= OVERLAP_TOL)
-        )
-        err_block = 0.0
-        for amps in _random_block_amplitudes(rng, overlap_samples):
-            closed = abs(overlap_block(angles, amps, spec.sites))
-            err_block = max(err_block, abs(closed - direct_overlap(ground, amps)))
-        rows.append(
-            CheckRow(name, spec.sites, parameter, "overlap_block", err_block, OVERLAP_TOL, err_block <= OVERLAP_TOL)
-        )
+    rng = rng or np.random.default_rng(1234)
+    angles = sign * even_vacuum_angles(spec)
+    err_site = 0.0
+    for xi in _random_site_angles(rng, OVERLAP_SAMPLES):
+        closed = abs(overlap_site(angles, float(xi), spec.sites))
+        amp = np.array([np.cos(xi / 2.0), np.sin(xi / 2.0)])
+        err_site = max(err_site, abs(closed - direct_overlap(ground, amp)))
+    rows.append(
+        CheckRow(name, spec.sites, parameter, "overlap_site", err_site, OVERLAP_TOL, err_site <= OVERLAP_TOL)
+    )
+    err_block = 0.0
+    for amps in _random_block_amplitudes(rng, OVERLAP_SAMPLES):
+        closed = abs(overlap_block(angles, amps, spec.sites))
+        err_block = max(err_block, abs(closed - direct_overlap(ground, amps)))
+    rows.append(
+        CheckRow(name, spec.sites, parameter, "overlap_block", err_block, OVERLAP_TOL, err_block <= OVERLAP_TOL)
+    )
     return rows
 
 
@@ -126,11 +129,8 @@ def run_checks(
     sites: Iterable[int] = (8,),
     presets: Iterable[str] | None = None,
     points: int = 11,
-    span: tuple[float, float] = (-2.0, 2.0),
     *,
-    include_fidelity: bool = True,
-    include_overlaps: bool = True,
-    overlap_samples: int = 20,
+    include_state: bool = True,
     flip_theta_sign: bool = False,
 ) -> list[CheckRow]:
     """Run the equivalence suite over preset grids.
@@ -148,7 +148,7 @@ def run_checks(
                 f"oracle checks are capped at {MAX_DENSE_SITES} sites, got {n}"
             )
     rows: list[CheckRow] = []
-    grid = np.linspace(span[0], span[1], points)
+    grid = np.linspace(SPAN[0], SPAN[1], points)
     rng = np.random.default_rng(97531)
     for name in names:
         if name not in CHECK_PRESETS:
@@ -162,9 +162,7 @@ def run_checks(
                         name,
                         build({**fixed, parameter: float(p)}, int(n)),
                         float(p),
-                        include_fidelity=include_fidelity,
-                        include_overlaps=include_overlaps,
-                        overlap_samples=overlap_samples,
+                        include_state=include_state,
                         flip_theta_sign=flip_theta_sign,
                         rng=rng,
                     )

@@ -35,7 +35,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 
 from .model import ModelSpec
-from .freefermion import bogoliubov_angle, even_vacuum_angles, ground_and_gap
+from .freefermion import bogoliubov_angle, dispersion, even_vacuum_angles, ground_and_gap
 
 _LN2 = math.log(2.0)
 _TINY = 1e-280
@@ -511,16 +511,8 @@ def maximize_site_af(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult
 def theta_function(spec: ModelSpec):
     """Continuous-momentum Bogoliubov angle mu -> theta(mu) of a model,
     defined by its blocks and field (system size drops out)."""
-    strengths = np.array([blk.strength for blk in spec.blocks])
-    signs = np.array([1.0 if blk.kind.value == "x" else -1.0 for blk in spec.blocks])
-    spans = np.array([1 + blk.mediators for blk in spec.blocks])
-    field = spec.field
-
     def theta(mu):
-        args = np.multiply.outer(np.asarray(mu, dtype=float), spans)
-        alpha = field - np.sum(strengths * np.cos(args), axis=-1)
-        beta = np.sum(signs * strengths * np.sin(args), axis=-1)
-        out = bogoliubov_angle(alpha, beta)
+        out = bogoliubov_angle(*dispersion(spec, mu))
         return out if out.shape else float(out)
 
     return theta

@@ -95,6 +95,20 @@ class _ModeArrays:
         return theta
 
 
+def dispersion(spec: ModelSpec, mu) -> tuple[np.ndarray, np.ndarray]:
+    """alpha(mu) = h - sum_blocks J cos((1 + m) mu) and beta(mu) = sum_X
+    J sin((1 + m) mu) - sum_Y J sin((1 + m) mu) at momenta ``mu``,
+    accumulated block by block."""
+    mu = np.asarray(mu, dtype=float)
+    alpha = np.full(mu.shape, spec.field)
+    beta = np.zeros(mu.shape)
+    for blk in spec.blocks:
+        arg = mu * (1 + blk.mediators)
+        alpha -= blk.strength * np.cos(arg)
+        beta += (blk.strength if blk.kind.value == "x" else -blk.strength) * np.sin(arg)
+    return alpha, beta
+
+
 def _mode_arrays(spec: ModelSpec, sector: Sector) -> _ModeArrays:
     n = spec.sites
     b = sector.b
@@ -104,13 +118,7 @@ def _mode_arrays(spec: ModelSpec, sector: Sector) -> _ModeArrays:
     # Compute alpha/beta on the canonical half (k <= partner) and mirror,
     # so that the pairing symmetry eps_k == eps_partner holds exactly.
     canon = ks <= partner
-    q = ks[canon] + b
-    alpha_c = np.full(q.shape, spec.field)
-    beta_c = np.zeros(q.shape)
-    for blk in spec.blocks:
-        arg = (2.0 * np.pi / n) * q * (1 + blk.mediators)
-        alpha_c -= blk.strength * np.cos(arg)
-        beta_c += (blk.strength if blk.kind.value == "x" else -blk.strength) * np.sin(arg)
+    alpha_c, beta_c = dispersion(spec, (2.0 * np.pi / n) * (ks[canon] + b))
 
     alpha = np.empty(n)
     beta = np.empty(n)

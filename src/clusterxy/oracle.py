@@ -1,5 +1,6 @@
-"""Brute-force reference solver: dense exact diagonalization in the full
-spin basis, plus direct overlap maximization on the exact ground vector.
+"""Brute-force reference solver: dense exact diagonalization of the two
+fermion-parity blocks of the spin basis, plus direct overlap maximization on
+the exact ground vector.
 
 Everything here is deliberately independent of the free-fermion machinery so
 the two can cross-check each other at small system sizes.  Basis convention:
@@ -9,7 +10,7 @@ all-up state is basis index 0 (the Jordan-Wigner fermion vacuum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -19,8 +20,8 @@ from .model import ModelSpec, PauliString, to_pauli_strings
 from .freefermion import Sector, _mode_arrays
 from .entanglement import EntanglementResult
 
-#: Dense diagonalization is capped here; 2^14 x 2^14 is the largest matrix
-#: worth building at desk scale.
+#: Dense diagonalization is capped here; two 2^13 x 2^13 parity blocks are
+#: the largest worth building at desk scale.
 MAX_DENSE_SITES = 14
 
 #: Brute-force block/af overlap maximization cap (ansatz expansion cost).
@@ -36,54 +37,47 @@ def _popcount_sign(bits: np.ndarray) -> np.ndarray:
     return 1 - 2 * (bits & 1)
 
 
-def parity_diagonal(n: int) -> np.ndarray:
-    """Diagonal of the fermion-parity operator prod_j Z_j: (-1)^popcount."""
-    return _popcount_sign(np.arange(2**n)).astype(float)
+def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of the even and of the odd fermion-parity sector, both
+    ascending.  Basis states 2m and 2m + 1 differ in one bit, so exactly one
+    of them lies in each sector, at position m = b >> 1 there."""
+    pair = 2 * np.arange(2 ** (n - 1))
+    parity = (1 - _popcount_sign(pair)) // 2
+    return pair | parity, pair | (1 - parity)
 
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """A Hermitian operator, usually on the full 2^N-dimensional spin space.
+    """A Hermitian operator on the 2^N-dimensional spin space that commutes
+    with the fermion parity prod_j Z_j, held as its two parity blocks.
 
-    When the dimension is 2^N and the entries coupling the even and the odd
-    sector of the fermion parity prod_j Z_j are exactly zero, the operator
-    commutes with the parity and ``blocks`` holds the two sector blocks,
-    each checked and diagonalized on its own.  Otherwise ``blocks`` holds
-    the whole matrix as one block.
+    ``blocks`` is (even block, odd block); the basis state at position m of
+    a block is ``parity_sectors(N)[block][m]``.  Each block is checked
+    Hermitian and diagonalized on its own.
     """
 
     dimension: int
-    entries: np.ndarray
-    #: (basis indices, sub-matrix) of each block, derived from ``entries``
-    blocks: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
+    blocks: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        h = self.entries
-        if h.shape != (self.dimension, self.dimension):
-            raise ValueError("entries shape does not match dimension")
-        blocks = [(np.arange(self.dimension), h)]
-        n = self.dimension.bit_length() - 1
-        if n > 0 and self.dimension == 2**n:
-            even = parity_diagonal(n) > 0
-            sectors = (np.flatnonzero(even), np.flatnonzero(~even))
-            if not (np.any(h[np.ix_(*sectors)]) or np.any(h[np.ix_(*sectors[::-1])])):
-                blocks = [(idx, h[np.ix_(idx, idx)]) for idx in sectors]
-        for _, block in blocks:
-            if not np.allclose(block, block.conj().T, rtol=0.0, atol=1e-12):
+        half = self.dimension // 2
+        if (self.dimension < 2 or self.dimension & (self.dimension - 1)
+                or len(self.blocks) != 2
+                or any(block.shape != (half, half) for block in self.blocks)):
+            raise ValueError(f"a {self.dimension}-dimensional operator needs two {half}x{half} parity blocks")
+        # |h - h^dagger| of each block in turn, in one block-sized buffer
+        diff = np.empty((half, half), dtype=np.result_type(*self.blocks))
+        for block in self.blocks:
+            np.conjugate(block.T, out=diff)
+            diff -= block
+            if not np.abs(diff, out=diff).real.max() <= 1e-12:
                 raise ValueError("operator is not Hermitian within 1e-12")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def parity_blocks(self) -> bool:
-        """Whether the operator splits into even and odd parity blocks."""
-        return len(self.blocks) == 2
 
     @cached_property
-    def eigensystem(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(basis indices, ascending eigenvalues, eigenvectors) of each
-        block: the even then the odd parity block, or the whole space.
-        Computed once per operator."""
-        return [(idx, *np.linalg.eigh(block)) for idx, block in self.blocks]
+    def eigensystem(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(ascending eigenvalues, eigenvectors) of the even then the odd
+        parity block.  Computed once per operator."""
+        return [np.linalg.eigh(block) for block in self.blocks]
 
 
 def _mask(letters: str, chosen: str) -> int:
@@ -92,11 +86,14 @@ def _mask(letters: str, chosen: str) -> int:
 
 
 def dense_hamiltonian(strings: list[PauliString]) -> DenseOperator:
-    """Sum of Pauli strings as a dense matrix, filled from basis-index bits.
+    """Sum of Pauli strings as its two dense parity blocks, filled from
+    basis-index bits.
 
     A string maps basis state b to i^{n_Y} (-1)^{popcount(b & YZ)} |b ^ XY>,
     where XY (YZ) masks the sites carrying X or Y (Y or Z): X and Y flip
-    their bit, Y and Z read it as a sign.  The matrix is real when every
+    their bit, Y and Z read it as a sign.  Flipping an even number of bits
+    keeps b in its parity sector, where it sits at position b >> 1; a string
+    flipping an odd number is rejected.  The blocks are real when every
     string has an even number of Y letters.
     """
     if not strings:
@@ -106,15 +103,25 @@ def dense_hamiltonian(strings: list[PauliString]) -> DenseOperator:
         raise ValueError(f"dense construction capped at {MAX_DENSE_SITES} sites, got {n}")
     if any(len(ps.letters) != n for ps in strings):
         raise ValueError("inconsistent string lengths")
-    dim = 2**n
-    basis = np.arange(dim)
+    for ps in strings:
+        if (ps.letters.count("X") + ps.letters.count("Y")) % 2:
+            raise ValueError(
+                f"Pauli string {ps.letters!r} flips an odd number of sites, "
+                "so it does not commute with the fermion parity"
+            )
+    half = 2 ** (n - 1)
+    sectors = parity_sectors(n)
     n_y = [ps.letters.count("Y") for ps in strings]
-    h = np.zeros((dim, dim), dtype=complex if any(k % 2 for k in n_y) else float)
+    dtype = complex if any(k % 2 for k in n_y) else float
+    blocks = (np.zeros((half, half), dtype=dtype), np.zeros((half, half), dtype=dtype))
+    columns = np.arange(half)
     for ps, k in zip(strings, n_y):
         flip = _mask(ps.letters, "XY")
-        signs = _popcount_sign(basis & _mask(ps.letters, "YZ"))
-        h[basis ^ flip, basis] += ps.coefficient * (1, 1j, -1, -1j)[k % 4] * signs
-    return DenseOperator(dim, h)
+        sign_mask = _mask(ps.letters, "YZ")
+        value = ps.coefficient * (1, 1j, -1, -1j)[k % 4]
+        for block, basis in zip(blocks, sectors):
+            block[(basis ^ flip) >> 1, columns] += value * _popcount_sign(basis & sign_mask)
+    return DenseOperator(2**n, blocks)
 
 
 def model_hamiltonian(spec: ModelSpec) -> DenseOperator:
@@ -126,7 +133,7 @@ def exact_spectrum(op: DenseOperator, count: int) -> list[float]:
     """The ``count`` smallest eigenvalues, ascending."""
     if count > op.dimension:
         raise ValueError("count exceeds the operator dimension")
-    vals = np.sort(np.concatenate([vals for _, vals, _ in op.eigensystem]))
+    vals = np.sort(np.concatenate([vals for vals, _ in op.eigensystem]))
     return [float(v) for v in vals[:count]]
 
 
@@ -134,27 +141,16 @@ def exact_ground_state(op: DenseOperator) -> np.ndarray:
     """Normalized ground eigenvector.
 
     On numerical degeneracy the even-fermion-parity representative is
-    returned (when one exists in the degenerate subspace), matching the
-    even-vacuum convention of the analytic solver: the lowest even-block
-    vector, or for an operator without parity blocks the largest even
-    projection of a ground vector.  The global phase is fixed by making the
-    largest-magnitude amplitude real and positive.
+    returned when the even block attains the ground level, matching the
+    even-vacuum convention of the analytic solver.  The global phase is
+    fixed by making the largest-magnitude amplitude real and positive.
     """
     blocks = op.eigensystem
-    ground = min(vals[0] for _, vals, _ in blocks)
+    ground = min(vals[0] for vals, _ in blocks)
     tol = 1e-10 * max(1.0, abs(ground))
-    idx, vals, vecs = next(block for block in blocks if block[1][0] <= ground + tol)
+    sector = next(i for i, (vals, _) in enumerate(blocks) if vals[0] <= ground + tol)
     vec = np.zeros(op.dimension, dtype=complex)
-    vec[idx] = vecs[:, 0]
-    cluster = vals <= ground + tol
-    n = op.dimension.bit_length() - 1
-    if not op.parity_blocks and op.dimension == 2**n and np.count_nonzero(cluster) > 1:
-        even = parity_diagonal(n) > 0
-        even_part = vecs[:, cluster] * even[:, None]
-        norms = np.linalg.norm(even_part, axis=0)
-        best = int(np.argmax(norms))
-        if norms[best] > 1e-8:
-            vec = np.asarray(even_part[:, best] / norms[best], dtype=complex)
+    vec[parity_sectors(op.dimension.bit_length() - 1)[sector]] = blocks[sector][1][:, 0]
     pivot = int(np.argmax(np.abs(vec)))
     phase = vec[pivot] / abs(vec[pivot])
     vec = vec / phase

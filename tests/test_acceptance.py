@@ -15,6 +15,8 @@ import pytest
 import clusterxy as cx
 from clusterxy.crosscheck import check_model, run_checks
 
+from test_oracle import full_matrix
+
 SCAN_STEP = 0.01
 
 
@@ -89,8 +91,7 @@ def test_criterion_01_oracle_equivalence():
     rows = run_checks(
         sites=(4, 6, 8, 10),
         points=11,
-        include_fidelity=False,
-        include_overlaps=False,
+        include_state=False,
     )
     cpu = time.process_time() - cpu_start
     wall = time.perf_counter() - wall_start
@@ -204,7 +205,7 @@ def test_criterion_07_factorization_circle_density(circle_point_result):
     doublets = True
     worst_energy = worst_weight = worst_eg = 0.0
     for n in (8, 10):
-        ham = cx.model_hamiltonian(cx.preset_xny(0, r, h, n)).entries
+        ham = full_matrix(cx.model_hamiltonian(cx.preset_xny(0, r, h, n)))
         vals, vecs = np.linalg.eigh(ham)
         ground_space = vecs[:, vals <= vals[0] + 1e-10 * max(1.0, abs(vals[0]))]
         doublets = doublets and ground_space.shape[1] == 2
@@ -356,7 +357,7 @@ def test_criterion_10_overlap_formula_agreement():
     for name, spec, param in specs:
         rows = [
             r
-            for r in check_model(name, spec, param, include_fidelity=True, include_overlaps=True)
+            for r in check_model(name, spec, param, include_state=True)
             if r.check in ("overlap_site", "overlap_block", "state_fidelity")
         ]
         assert rows, f"{name}: ground state not eligible for overlap checks"

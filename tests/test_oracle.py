@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -6,14 +7,23 @@ import pytest
 import clusterxy as cx
 from clusterxy.crosscheck import check_model
 from clusterxy.model import PauliString
-from clusterxy.oracle import parity_diagonal
+from clusterxy.oracle import parity_sectors
 
 from test_model import random_spec
 
 
+def full_matrix(op) -> np.ndarray:
+    """The 2^N x 2^N matrix of an oracle operator, assembled from its even
+    and odd parity blocks."""
+    h = np.zeros((op.dimension, op.dimension), dtype=np.result_type(*op.blocks))
+    for idx, block in zip(parity_sectors(op.dimension.bit_length() - 1), op.blocks):
+        h[np.ix_(idx, idx)] = block
+    return h
+
+
 def test_dense_single_z():
     op = cx.dense_hamiltonian([PauliString(1.0, "Z")])
-    assert np.allclose(op.entries, np.diag([1.0, -1.0]))
+    assert np.allclose(full_matrix(op), np.diag([1.0, -1.0]))
 
 
 def test_dense_xx_antidiagonal():
@@ -21,7 +31,7 @@ def test_dense_xx_antidiagonal():
     expected = np.zeros((4, 4))
     expected[0, 3] = expected[3, 0] = -1.0  # |uu> <-> |dd>
     expected[1, 2] = expected[2, 1] = -1.0  # |ud> <-> |du>
-    assert np.allclose(op.entries, expected)
+    assert np.allclose(full_matrix(op), expected)
 
 
 _KRON_PAULI = {
@@ -52,14 +62,25 @@ def test_dense_matches_kronecker_reference():
             PauliString(float(rng.normal()), "".join(rng.choice(list("IXYZ"), size=n)))
             for _ in range(int(rng.integers(1, 6)))
         ])
+    built = rejected = 0
     for strings in cases:
+        letters = [ps.letters for ps in strings]
+        if any((ps.letters.count("X") + ps.letters.count("Y")) % 2 for ps in strings):
+            with pytest.raises(ValueError, match="odd number"):
+                cx.dense_hamiltonian(strings)
+            rejected += 1
+            continue
         op = cx.dense_hamiltonian(strings)
         reference = _kron_reference(strings)
-        assert np.array_equal(op.entries, reference), [ps.letters for ps in strings]
+        even, odd = parity_sectors(len(letters[0]))
+        assert not np.any(reference[np.ix_(even, odd)]), letters
+        assert not np.any(reference[np.ix_(odd, even)]), letters
+        for idx, block in zip((even, odd), op.blocks):
+            assert np.array_equal(block, reference[np.ix_(idx, idx)]), letters
         odd_y = any(ps.letters.count("Y") % 2 for ps in strings)
-        assert np.iscomplexobj(op.entries) == odd_y
-        odd_flip = any((ps.letters.count("X") + ps.letters.count("Y")) % 2 for ps in strings)
-        assert op.parity_blocks == (not odd_flip)
+        assert all(np.iscomplexobj(block) == odd_y for block in op.blocks)
+        built += 1
+    assert built >= 10 and rejected >= 10
 
 
 def test_parity_blocks_match_full_spectrum():
@@ -70,8 +91,7 @@ def test_parity_blocks_match_full_spectrum():
         if not spec.blocks and spec.field == 0.0:
             continue
         op = cx.model_hamiltonian(spec)
-        assert op.parity_blocks
-        full = np.linalg.eigh(op.entries)[0]
+        full = np.linalg.eigh(_kron_reference(cx.to_pauli_strings(spec)))[0]
         blocked = np.array(cx.exact_spectrum(op, op.dimension))
         assert np.max(np.abs(blocked - full)) <= 1e-12
         checked += 1
@@ -99,35 +119,58 @@ def test_check_point_diagonalizes_once(monkeypatch):
 
 
 def test_dense_operator_rejects_non_hermitian():
+    def operator(block):
+        # the block under test is the odd one; the even one is Hermitian
+        return cx.DenseOperator(4, (np.eye(2), block))
+
     with pytest.raises(ValueError, match="Hermitian"):
-        cx.DenseOperator(2, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="Hermitian"):
-        cx.DenseOperator(2, np.array([[0.0, 1.0j], [1.0j, 0.0]]))
+        operator(np.array([[0.0, 1.0j], [1.0j, 0.0]]))
     with pytest.raises(ValueError, match="Hermitian"):
-        cx.DenseOperator(2, np.array([[1.0, 2e-12], [0.0, 1.0]]))
+        operator(np.array([[1.0, 2e-12], [0.0, 1.0]]))
     # the tolerance is absolute: a 1e-6 asymmetry next to entries of order
     # one is rejected, and one below 1e-12 is accepted
     with pytest.raises(ValueError, match="Hermitian"):
-        cx.DenseOperator(2, np.array([[1.0, 1.0], [1.0 + 1e-6, 1.0]]))
-    assert cx.DenseOperator(2, np.array([[1.0, 1.0], [1.0 + 5e-13, 1.0]])).dimension == 2
+        operator(np.array([[1.0, 1.0], [1.0 + 1e-6, 1.0]]))
+    assert operator(np.array([[1.0, 1.0], [1.0 + 5e-13, 1.0]])).dimension == 4
 
 
-def test_dense_operator_derives_its_blocks():
-    # a matrix whose parity sectors are exactly uncoupled splits in two
-    assert cx.DenseOperator(2, np.diag([1.0, -1.0])).parity_blocks
-    # any entry coupling the sectors keeps the whole matrix as one block
-    coupled = cx.DenseOperator(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert not coupled.parity_blocks
-    assert cx.exact_spectrum(coupled, 2) == pytest.approx([-1.0, 1.0], abs=1e-12)
-    # a dimension that is not a power of two has no parity sectors: every
-    # eigenvalue is kept
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(6, 6))
-    odd_dim = cx.DenseOperator(6, a + a.T)
-    assert not odd_dim.parity_blocks
-    spectrum = cx.exact_spectrum(odd_dim, 6)
-    assert np.max(np.abs(np.array(spectrum) - np.linalg.eigvalsh(a + a.T))) <= 1e-12
-    assert cx.exact_ground_state(odd_dim).shape == (6,)
+def test_dense_rejects_odd_flip_strings():
+    # a string flipping an odd number of sites changes the fermion parity,
+    # so it has no place in the two parity blocks
+    for letters in ("X", "Y", "XZ", "YZZ"):
+        with pytest.raises(ValueError, match=f"'{letters}' flips an odd number"):
+            cx.dense_hamiltonian([PauliString(1.0, letters)])
+    with pytest.raises(ValueError, match="odd number"):
+        cx.dense_hamiltonian([PauliString(1.0, "XX"), PauliString(0.5, "IY")])
+
+
+def test_dense_operator_rejects_wrong_block_shapes():
+    for dimension, blocks in [
+        (4, (np.eye(2), np.eye(3))),
+        (4, (np.eye(4), np.eye(4))),
+        (6, (np.eye(3), np.eye(3))),
+        (1, (np.zeros((0, 0)), np.zeros((0, 0)))),
+        (4, (np.eye(2),)),
+    ]:
+        with pytest.raises(ValueError, match="parity blocks"):
+            cx.DenseOperator(dimension, blocks)
+
+
+def test_model_hamiltonian_peak_memory():
+    # the two real parity blocks take 2 * 4^(N-1) * 8 bytes, half of one
+    # full 2^N x 2^N matrix; the build and its Hermiticity guard may add at
+    # most one block-sized buffer on top
+    n = 10
+    spec = cx.preset_spt_afm(0.5, n)
+    tracemalloc.start()
+    try:
+        cx.model_hamiltonian(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * 8 * 4**n, f"peak {peak} bytes"
 
 
 def test_dense_size_guard():
@@ -143,7 +186,8 @@ def test_dense_hermitian_random_specs():
         if not spec.blocks and spec.field == 0.0:
             continue
         op = cx.model_hamiltonian(spec)
-        assert np.allclose(op.entries, op.entries.conj().T, atol=1e-12)
+        for block in op.blocks:
+            assert np.allclose(block, block.conj().T, atol=1e-12)
 
 
 def test_exact_spectrum_diag():
@@ -160,14 +204,8 @@ def test_xzy_oracle_matches_freefermion():
 def _sector_ground_energies(spec) -> tuple[float, float]:
     """Lowest dense eigenvalue in the even and in the odd fermion-parity
     block of H."""
-    ham = cx.model_hamiltonian(spec).entries
-    even = parity_diagonal(spec.sites) > 0
-    assert not np.any(ham[np.ix_(even, ~even)]), "H mixes the parity sectors"
-    lowest = []
-    for mask in (even, ~even):
-        block = ham[np.ix_(mask, mask)]
-        lowest.append(cx.exact_spectrum(cx.DenseOperator(block.shape[0], block), 1)[0])
-    return lowest[0], lowest[1]
+    even, odd = cx.model_hamiltonian(spec).eigensystem
+    return float(even[0][0]), float(odd[0][0])
 
 
 def test_halfway_level_crossing_location():
@@ -250,7 +288,7 @@ def test_cluster_state_stabilizers():
         letters[j] = "Z"
         letters[(j + 1) % 8] = "X"
         stab = cx.dense_hamiltonian([PauliString(1.0, "".join(letters))])
-        expectation = np.vdot(vec, stab.entries @ vec).real
+        expectation = np.vdot(vec, full_matrix(stab) @ vec).real
         assert expectation == pytest.approx(1.0, abs=1e-10)
 
 
@@ -260,25 +298,11 @@ def test_ground_state_parity_tiebreak():
     # the even parity block
     spec = cx.preset_xny(0, 0.6, 0.8, 8)
     op = cx.model_hamiltonian(spec)
-    assert op.parity_blocks
     vals = cx.exact_spectrum(op, 2)
     assert vals[1] - vals[0] == pytest.approx(0.0, abs=1e-10)
     vec = cx.exact_ground_state(op)
-    par = parity_diagonal(8)
-    assert np.vdot(vec, par * vec).real == pytest.approx(1.0, abs=1e-9)
-
-
-def test_ground_state_parity_tiebreak_without_blocks():
-    # a 1e-12 entry coupling the even |00> and the odd |01> forbids the
-    # parity blocks and splits their level into (|00> -+ |01>)/sqrt(2),
-    # numerically degenerate: the even vector is found by projecting the
-    # full ground eigenbasis
-    h = np.diag([-1.0, -1.0, 0.0, 0.0])
-    h[0, 1] = h[1, 0] = 1e-12
-    op = cx.DenseOperator(4, h)
-    assert not op.parity_blocks
-    vec = cx.exact_ground_state(op)
-    assert np.abs(vec) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
+    even = vec[parity_sectors(8)[0]]
+    assert np.vdot(even, even).real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_direct_overlap_trivial():
