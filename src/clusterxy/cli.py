@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -30,6 +31,7 @@ from .entanglement import (
     scan_derivative,
     theta_function,
     thermo_block_density,
+    uniform_step,
 )
 from .crosscheck import CHECK_PRESETS, run_checks
 
@@ -157,6 +159,8 @@ def parse_sweep(text: str) -> tuple[str, float, float, float]:
         start, stop, step = (float(x) for x in parts[1:])
     except ValueError as exc:
         raise ValueError(f"malformed sweep {text!r}: {exc}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"sweep start, stop and step must be finite, got {text!r}")
     if step <= 0.0:
         raise ValueError("sweep step must be > 0")
     if not start < stop:
@@ -268,6 +272,8 @@ def cmd_ent_scan(source: ModelSource, request: ScanRequest) -> tuple[list[str], 
     kinds = [q for q in request.quantities if q in ENT_KINDS]
     want_derivative = "derivative" in request.quantities
     want_gap = "gap" in request.quantities
+    if want_derivative and len(points) >= 3:
+        uniform_step(points)  # reject a clamped, non-uniform grid before solving
 
     columns = ["sweep_value", "sites", "even_vacuum", "degenerate", *kinds]
     if want_gap:
@@ -474,6 +480,8 @@ def main(argv=None) -> int:
             columns, rows = cmd_ent_scan(source, request)
         elif args.command == "thermo":
             request = _scan_request(args, source)
+            if len(request.sites) != 1:
+                raise ValueError("thermo takes a single --sites value")
             columns, rows = cmd_thermo(source, request)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command!r}")

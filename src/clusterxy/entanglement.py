@@ -579,13 +579,10 @@ def thermo_block_density(theta_of_mu, quad_tol: float = THERMO_QUAD_TOL) -> floa
 
 # --- scan utilities -----------------------------------------------------------
 
-def scan_derivative(xs, ys) -> np.ndarray:
-    """Finite-difference derivative on a uniform grid: central differences
-    in the interior, one-sided at the ends."""
+def uniform_step(xs) -> float:
+    """The spacing of ``xs``, a grid that ``scan_derivative`` accepts: at
+    least 3 strictly increasing, uniformly spaced points."""
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError("xs and ys must be 1-D arrays of equal length")
     if xs.size < 3:
         raise ValueError("need at least 3 points")
     steps = np.diff(xs)
@@ -593,4 +590,14 @@ def scan_derivative(xs, ys) -> np.ndarray:
         raise ValueError("xs must be strictly increasing")
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12 * max(1.0, abs(xs[-1] - xs[0]))):
         raise ValueError("non-uniform grid")
-    return np.gradient(ys, float(steps[0]))
+    return float(steps[0])
+
+
+def scan_derivative(xs, ys) -> np.ndarray:
+    """Finite-difference derivative on a uniform grid: central differences
+    in the interior, one-sided at the ends."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError("xs and ys must be 1-D arrays of equal length")
+    return np.gradient(ys, uniform_step(xs))

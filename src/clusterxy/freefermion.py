@@ -16,16 +16,17 @@ already diagonal and eps_k = 2*alpha_k, which may be negative.  A many-body
 level of the sector is the half-filled zero-point energy -sum(eps)/2 plus
 eps_k for every occupied mode, subject to the sector's occupation parity.
 
-This module finds each sector's lowest levels under that parity constraint
-and reports the global ground energy, the gap, and the Bogoliubov angles of
-the even-sector vacuum (the state whose product-ansatz overlaps have closed
-forms).
+This module finds each sector's lowest levels with one heap over mode
+flips, which is the only place that applies the parity rule: starting from
+every negative mode occupied, each flip costs |eps_k| and the sector's
+parity fixes the size parity of the flip set.  It reports the global ground
+energy, the gap, and the Bogoliubov angles of the even-sector vacuum (the
+state whose product-ansatz overlaps have closed forms).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -152,47 +153,16 @@ def bogoliubov_angle(alpha, beta) -> np.ndarray:
     return np.where(root == 0.0, 0.0, np.arctan2(sin_t, cos_t))
 
 
-def _constrained_minimum(epsilon: np.ndarray, parity: str) -> tuple[float, np.ndarray]:
-    """Minimum of -sum(eps)/2 + sum(eps[occupied]) over occupations of fixed
-    count parity.
-
-    Occupies every negative mode, then, if the count has the wrong parity,
-    applies the single cheapest fix: occupy the cheapest non-negative mode
-    or vacate the occupied mode of smallest |eps|.  Mode costs are
-    independent, so one fix is optimal.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    occ = epsilon < 0.0
-    energy = -0.5 * float(epsilon.sum()) + float(epsilon[occ].sum())
-    want_odd = parity == "odd"
-    if (int(occ.sum()) % 2 == 1) != want_odd:
-        free = np.flatnonzero(~occ)
-        held = np.flatnonzero(occ)
-        add_cost = float(epsilon[free].min()) if free.size else math.inf
-        rem_cost = float(-epsilon[held].max()) if held.size else math.inf
-        if add_cost <= rem_cost:
-            occ = occ.copy()
-            occ[free[int(np.argmin(epsilon[free]))]] = True
-            energy += add_cost
-        else:
-            occ = occ.copy()
-            occ[held[int(np.argmax(epsilon[held]))]] = False
-            energy += rem_cost
-    return energy, occ
-
-
 def _sector_states_from_eps(
     epsilon: np.ndarray, parity: str, count: int
 ) -> list[tuple[float, np.ndarray]]:
     """The ``count`` lowest levels (with multiplicity) of one sector.
 
-    Starting from the constrained minimum occupation, every other state of
-    the sector differs by an even-size set of mode flips.  At most one flip
-    has negative cost (the parity fix), so after folding it into the base
-    energy the search reduces to enumerating subsets of non-negative costs
-    in ascending sum order with a subset-size parity constraint, done here
-    with the standard extend/replace heap.
+    Every level is reached from the unconstrained minimum (every negative
+    mode occupied) by a set of mode flips, each costing |eps|; the sector's
+    parity fixes the size parity of that set.  So the search enumerates
+    subsets of non-negative costs in ascending sum order with a subset-size
+    parity constraint, done here with the standard extend/replace heap.
 
     Only the ``count + 1`` cheapest flips (in stable cost order) enter the
     heap, so it does O(count) work however flat the band is.  This is exact.
@@ -208,38 +178,36 @@ def _sector_states_from_eps(
     pops the same subsets as a heap over all N flips, in the same order and
     with sums formed by the same additions, until it holds ``count`` levels.
     """
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     n = epsilon.size
     if count > 2 ** (n - 1):
         raise ValueError(f"count={count} exceeds the sector dimension 2^{n - 1}")
 
-    e0, occ0 = _constrained_minimum(epsilon, parity)
-    toggle = np.where(occ0, -epsilon, epsilon)
-    neg = np.flatnonzero(toggle < 0.0)
-    base = e0 + float(toggle[neg].sum())
-    need_parity = int(neg.size % 2)
+    occ0 = epsilon < 0.0
+    base = -0.5 * float(epsilon.sum()) + float(epsilon[occ0].sum())
+    # 1 when the negative modes alone have the wrong count parity
+    need_parity = int(int(occ0.sum()) % 2 != (parity == "odd"))
 
-    costs = np.abs(toggle)
+    costs = np.abs(epsilon)
     order = np.argsort(costs, kind="stable")[: count + 1]
     c = costs[order]
 
     out: list[tuple[float, np.ndarray]] = []
 
     def emit(total: float, positions: tuple[int, ...]) -> None:
-        flips = set(int(order[p]) for p in positions) ^ set(int(k) for k in neg)
         occ = occ0.copy()
-        for k in flips:
-            occ[k] = ~occ[k]
+        flips = order[list(positions)]
+        occ[flips] = ~occ[flips]
         out.append((total, occ))
 
     # heap entries: (partial sum, last position, subset size parity, positions)
     if need_parity == 0:
         emit(base, ())
-    heap: list[tuple[float, int, int, tuple[int, ...]]] = []
-    if n > 0:
-        heapq.heappush(heap, (float(c[0]), 0, 1, (0,)))
-    while heap and len(out) < count:
+    heap: list[tuple[float, int, int, tuple[int, ...]]] = [(float(c[0]), 0, 1, (0,))]
+    while len(out) < count:
         s, i, p, positions = heapq.heappop(heap)
         if p == need_parity:
             emit(base + s, positions)
@@ -249,9 +217,7 @@ def _sector_states_from_eps(
                 heap,
                 (s - float(c[i]) + float(c[i + 1]), i + 1, p, positions[:-1] + (i + 1,)),
             )
-    if len(out) < count:
-        raise ValueError(f"count={count} exceeds the sector dimension")
-    return out[:count]
+    return out
 
 
 def sector_states(

@@ -278,12 +278,14 @@ def brute_max_overlap(state: np.ndarray, kind: str, complex_amplitudes: bool = T
     complex (the default; used to probe whether real optima are globally
     optimal) or restricted to real.
     """
+    n_params = {"site": 2, "block": 4, "af_site": 4}.get(kind)
+    if n_params is None:
+        raise ValueError(f"kind must be 'site', 'block' or 'af_site', got {kind!r}")
     dim = state.shape[0]
     n = int(round(np.log2(dim)))
     if kind in ("block", "af_site") and n > MAX_BRUTE_SITES:
         raise ValueError(f"brute-force {kind} maximization capped at {MAX_BRUTE_SITES} sites")
 
-    n_params = {"site": 2, "block": 4, "af_site": 4}[kind]
     if complex_amplitudes:
         n_params *= 2
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 import clusterxy as cx
-from clusterxy.cli import main, sweep_points
+from clusterxy import cli
+from clusterxy.cli import main, parse_sweep, sweep_points
 
 
 def run_cli(argv, capsys):
@@ -30,6 +31,53 @@ def test_sweep_points_clamped_to_stop():
     pts = sweep_points(0.0, 1.0, 0.3)
     assert pts[-1] == 1.0
     assert len(pts) == 4
+
+
+def test_parse_sweep_rejects_non_finite():
+    # an infinite or NaN bound or step used to make sweep_points append
+    # points until memory ran out
+    for text in (
+        "h:nan:1:0.1",
+        "h:-inf:1:0.1",
+        "h:0:nan:0.1",
+        "h:0:inf:0.1",
+        "h:0:1:nan",
+        "h:0:1:inf",
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            parse_sweep(text)
+
+
+def test_ent_scan_rejects_clamped_derivative_grid_before_solving(monkeypatch, capsys):
+    # h:0:1:0.3 clamps its last point from 0.9 to 1.0, so the derivative's
+    # grid is non-uniform; that must be caught before any point is solved
+    built = []
+
+    class Counting(cli.EvenVacuumAnalysis):
+        def __init__(self, spec):
+            built.append(spec)
+            super().__init__(spec)
+
+    monkeypatch.setattr(cli, "EvenVacuumAnalysis", Counting)
+    base = ["ent-scan", "--model", "xzy", "--r", "0.5", "--sites", "16"]
+    code, out, err = run_cli(
+        base + ["--sweep", "h:0:1:0.3", "--quantities", "ent_site,derivative"], capsys
+    )
+    assert code == 2
+    assert "non-uniform" in err and out == ""
+    assert built == []
+    code, out, _ = run_cli(base + ["--sweep", "h:0:1:0.3", "--quantities", "ent_site"], capsys)
+    assert code == 0
+    assert len(built) == 4
+
+
+def test_thermo_rejects_several_sizes(capsys):
+    code, out, err = run_cli(
+        ["thermo", "--model", "xy", "--r", "1", "--sweep", "h:1.5:2:0.5", "--sites", "8,10"],
+        capsys,
+    )
+    assert code == 2
+    assert "single --sites" in err and out == ""
 
 
 def test_presets_listing(capsys):

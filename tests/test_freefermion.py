@@ -10,7 +10,6 @@ from clusterxy import freefermion
 from clusterxy.freefermion import (
     DEGENERACY_RTOL,
     Sector,
-    _constrained_minimum,
     _mode_arrays,
     _sector_states_from_eps,
 )
@@ -174,13 +173,26 @@ def test_sector_levels_random_specs():
 
 
 def test_sector_states_energy_consistency():
-    spec = cx.preset_ghz_cluster(0.3, 8)
-    for sector in (Sector.ODD, Sector.EVEN):
-        eps = _mode_arrays(spec, sector).epsilon
-        for energy, occ in cx.sector_states(spec, sector, 5):
-            direct = -0.5 * eps.sum() + sum(eps[k] for k in occ)
-            assert energy == pytest.approx(direct, abs=1e-12)
-            assert (len(occ) % 2 == 1) == (sector is Sector.ODD)
+    specs = [
+        cx.preset_ghz_cluster(0.3, 8),
+        # odd special modes at eps = 2(h - 1) = 0 exactly: zero-cost flips
+        cx.preset_xny(1, 0.5, 1.0, 8),
+        # every mode at eps = 0: all levels tie
+        cx.preset_free(0.0, 6),
+        # the odd sector's parity fix vacates the negative mode at eps = -0.2
+        cx.preset_xny(0, 1.0, -1.1, 8),
+    ]
+    for spec in specs:
+        for sector in (Sector.ODD, Sector.EVEN):
+            eps = _mode_arrays(spec, sector).epsilon
+            for energy, occ in cx.sector_states(spec, sector, 5):
+                direct = -0.5 * eps.sum() + sum(eps[k] for k in occ)
+                assert energy == pytest.approx(direct, abs=1e-12)
+                assert (len(occ) % 2 == 1) == (sector is Sector.ODD)
+            for count in range(1, 7):
+                got = cx.sector_levels(spec, sector, count)
+                want = brute_sector_levels(eps, sector.parity, count)
+                assert got == pytest.approx(list(want), abs=1e-12)
 
 
 def test_sector_levels_count_guard():
@@ -213,21 +225,18 @@ def full_heap_states(epsilon, parity, count):
     """Reference level search: the extend/replace heap over all N sorted
     flip costs, as it was before the search was bounded."""
     n = epsilon.size
-    e0, occ0 = _constrained_minimum(epsilon, parity)
-    toggle = np.where(occ0, -epsilon, epsilon)
-    neg = np.flatnonzero(toggle < 0.0)
-    base = e0 + float(toggle[neg].sum())
-    need_parity = int(neg.size % 2)
-    costs = np.abs(toggle)
+    occ0 = epsilon < 0.0
+    base = -0.5 * float(epsilon.sum()) + float(epsilon[occ0].sum())
+    need_parity = int(int(occ0.sum()) % 2 != (parity == "odd"))
+    costs = np.abs(epsilon)
     order = np.argsort(costs, kind="stable")
     c = costs[order]
     out = []
 
     def emit(total, positions):
-        flips = set(int(order[p]) for p in positions) ^ set(int(k) for k in neg)
         occ = occ0.copy()
-        for k in flips:
-            occ[k] = ~occ[k]
+        for p in positions:
+            occ[order[p]] = ~occ[order[p]]
         out.append((total, occ))
 
     if need_parity == 0:

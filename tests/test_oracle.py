@@ -365,6 +365,16 @@ def test_brute_af_matches_analytic_real_family():
     assert brute.lambda_max == pytest.approx(analytic.lambda_max, abs=1e-6)
 
 
+def test_brute_rejects_unknown_kind(monkeypatch):
+    def no_overlaps(*args):
+        raise AssertionError("direct_overlap called for an unknown kind")
+
+    monkeypatch.setattr(cx.oracle, "direct_overlap", no_overlaps)
+    state = cx.oracle.site_product_state(4, np.array([0.6, 0.8]))
+    with pytest.raises(ValueError, match="'site', 'block' or 'af_site'"):
+        cx.brute_max_overlap(state, "pair")
+
+
 def test_brute_block_size_guard():
     state = np.zeros(2**12)
     state[0] = 1.0
