@@ -31,7 +31,6 @@ from .entanglement import (
     scan_derivative,
     theta_function,
     thermo_block_density,
-    uniform_step,
 )
 from .crosscheck import CHECK_PRESETS, run_checks
 
@@ -165,23 +164,16 @@ def parse_sweep(text: str) -> tuple[str, float, float, float]:
         raise ValueError("sweep step must be > 0")
     if not start < stop:
         raise ValueError("sweep start must be < stop")
+    steps = (stop - start) / step
+    if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9):
+        raise ValueError(f"sweep range {stop - start:g} is not a whole number of steps {step:g}")
     return param, start, stop, step
 
 
 def sweep_points(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive sweep grid: start + i*step, with the final point clamped to
-    ``stop`` when it lies within step/2 of it."""
-    points = []
-    i = 0
-    while True:
-        value = start + i * step
-        if value > stop + step / 2.0:
-            break
-        points.append(value)
-        i += 1
-    if points and abs(points[-1] - stop) <= step / 2.0:
-        points[-1] = stop
-    return points
+    """Inclusive sweep grid start + i*step ending exactly at ``stop``; the
+    range is a whole number of steps (``parse_sweep`` checks it)."""
+    return [start + i * step for i in range(round((stop - start) / step))] + [stop]
 
 
 def _parse_sites(text: str) -> tuple[int, ...]:
@@ -272,8 +264,6 @@ def cmd_ent_scan(source: ModelSource, request: ScanRequest) -> tuple[list[str], 
     kinds = [q for q in request.quantities if q in ENT_KINDS]
     want_derivative = "derivative" in request.quantities
     want_gap = "gap" in request.quantities
-    if want_derivative and len(points) >= 3:
-        uniform_step(points)  # reject a clamped, non-uniform grid before solving
 
     columns = ["sweep_value", "sites", "even_vacuum", "degenerate", *kinds]
     if want_gap:

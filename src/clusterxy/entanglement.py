@@ -1,22 +1,23 @@
 """Geometric entanglement of the even-sector vacuum.
 
 The vacuum of the antiperiodic (even) sector is a paired state
-prod_k [cos(theta_k) + i sin(theta_k) c+_k c+_{N-k-1}] |0>, and its overlap
-with translation-invariant product ansatze reduces to short closed-form
-products over momenta:
+prod_k [cos(theta_k) + i sin(theta_k) c+_k c+_{N-k-1}] |0>.  Its overlap
+with a uniform two-site-block product state v = (a, b, c, d) is a product
+of quadratic forms v.M_k.v over momentum pairs, times a linear factor q.v
+when N/2 is odd.  One evaluator on these block forms serves three nested
+translation-invariant ansatze, site <= period-2 <= block:
 
-* one identical single-site state on every site (one angle xi),
-* one identical two-site state on every block of two (amplitudes a,b,c,d),
-* a two-site product of two independent single-site states (period-2
-  ansatz, appropriate for antiferromagnetic order).
+* one single-site state s on every site: v = s x s, s = (cos xi/2, sin xi/2);
+* a period-2 product, independent states on the two sites of each block
+  (appropriate for antiferromagnetic order): v = a x b;
+* one two-site state on every block of two: any unit v.
 
 Maximizing the squared overlap gives the geometric entanglement
-E = -log2(Lambda_max^2) and its per-site density E/N.  All overlap factors
-are quadratic forms in the block amplitudes, which this module exploits:
-log|overlap| and its gradient are cheap, so the maximizations run as
-multi-start gradient ascent on the amplitude sphere.  A thermodynamic-limit
-version of the per-block density is evaluated by quadrature over the
-continuous Bogoliubov angle.
+E = -log2(Lambda_max^2) and its per-site density E/N.  The site search is
+a dense xi grid plus golden-section refinement; the period-2 and block
+searches are multi-start gradient ascents.  A thermodynamic-limit version
+of the per-block density is evaluated by quadrature over the continuous
+Bogoliubov angle.
 
 The three finite-N maximizers accept a model or its ``EvenVacuumAnalysis``;
 passing one analysis to several of them solves the ground state and the
@@ -120,28 +121,7 @@ class EntanglementResult:
     ground_degenerate: bool = False
 
 
-# --- closed-form overlaps ----------------------------------------------------
-
-def _site_factors(angles: np.ndarray, sites: int) -> tuple[np.ndarray, np.ndarray]:
-    if sites % 2 != 0:
-        raise ValueError("single-site overlap requires an even number of sites")
-    half = sites // 2
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape[0] < half:
-        raise ValueError(f"need {half} vacuum angles, got {angles.shape[0]}")
-    theta = angles[:half]
-    cot = 1.0 / np.tan(np.pi * (np.arange(half) + 0.5) / sites)
-    return np.cos(theta), np.sin(theta) * cot
-
-
-def overlap_site(angles, xi: float, sites: int) -> float:
-    """Overlap of the even vacuum with the uniform single-site product state
-    at angle xi: prod_k [cos(theta_k) cos^2(xi/2)
-    + sin(theta_k) sin^2(xi/2) cot(pi(k+1/2)/N)]."""
-    cos_part, sin_part = _site_factors(angles, sites)
-    terms = cos_part * math.cos(xi / 2.0) ** 2 + sin_part * math.sin(xi / 2.0) ** 2
-    return float(np.prod(terms))
-
+# --- overlaps on the block forms ---------------------------------------------
 
 def pair_forms(t1, t2, mu) -> np.ndarray:
     """Overlap factors of the two-site-block ansatz as quadratic forms.
@@ -209,6 +189,31 @@ def overlap_block(angles, ansatz, sites: int) -> float:
     if q is not None:
         total *= float(q @ v)
     return total
+
+
+def overlap_site(angles, xi: float, sites: int) -> float:
+    """Overlap of the even vacuum with the uniform single-site product state
+    (cos(xi/2), sin(xi/2)) on every site: the block overlap at s x s."""
+    return overlap_block(angles, _product_vectors(0.5 * xi, 0.5 * xi), sites)
+
+
+def _product_vectors(t1, t2) -> np.ndarray:
+    """(cos t1, sin t1) x (cos t2, sin t2) as block amplitudes (a, b, c, d),
+    with the shape of t1 and t2 plus a trailing axis of 4."""
+    a = np.array([np.cos(t1), np.sin(t1)])
+    b = np.array([np.cos(t2), np.sin(t2)])
+    return np.einsum("i...,j...->...ij", a, b).reshape(a.shape[1:] + (4,))
+
+
+def _log_overlaps(vecs, m, q, weights) -> np.ndarray:
+    """sum_k w_k log|v.M_k.v| (+ log|q.v|) for every v along the last axis
+    of ``vecs``; a factor below _TINY in magnitude counts as _TINY, the rule
+    ``_forms_value_grad`` applies too."""
+    factors = np.einsum("...ij,kij->...k", np.einsum("...i,...j->...ij", vecs, vecs), m)
+    vals = np.sum(weights * np.log(np.maximum(np.abs(factors), _TINY)), axis=-1)
+    if q is not None:
+        vals = vals + np.log(np.maximum(np.abs(vecs @ q), _TINY))
+    return vals
 
 
 # --- generic sphere maximization over products of quadratic forms ------------
@@ -288,20 +293,6 @@ def _block_starts(embedded: list[np.ndarray]) -> list[np.ndarray]:
 
 # --- site-angle and period-2 maximization ---------------------------------------
 
-def _site_log_overlap(angles, sites):
-    cos_part, sin_part = _site_factors(angles, sites)
-
-    def logf(xi):
-        half_angle = 0.5 * np.asarray(xi, dtype=float)
-        terms = np.multiply.outer(np.cos(half_angle) ** 2, cos_part) + np.multiply.outer(
-            np.sin(half_angle) ** 2, sin_part
-        )
-        with np.errstate(divide="ignore"):
-            return np.sum(np.log(np.abs(terms)), axis=-1)
-
-    return logf
-
-
 def _golden_max(fun, lo, hi, tol):
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
@@ -319,67 +310,38 @@ def _golden_max(fun, lo, hi, tol):
     return mid, fun(mid)
 
 
-def _af_vector(t1, t2):
-    return np.array(
-        [
-            math.cos(t1) * math.cos(t2),
-            math.cos(t1) * math.sin(t2),
-            math.sin(t1) * math.cos(t2),
-            math.sin(t1) * math.sin(t2),
-        ]
-    )
-
-
 def _af_grid_starts(m, q, weights) -> list[np.ndarray]:
     """The AF_GRID_STARTS best cells of a coarse, vectorized (t1, t2) scan
     of the period-2 objective, best first."""
     grid = np.linspace(0.0, math.pi, AF_GRID_POINTS, endpoint=False)
     tt1, tt2 = np.meshgrid(grid, grid, indexing="ij")
-    vecs = np.stack(
-        [
-            np.cos(tt1) * np.cos(tt2),
-            np.cos(tt1) * np.sin(tt2),
-            np.sin(tt1) * np.cos(tt2),
-            np.sin(tt1) * np.sin(tt2),
-        ],
-        axis=-1,
-    ).reshape(-1, 4)
-    factors = np.einsum("kij,ni,nj->nk", m, vecs, vecs)
-    with np.errstate(divide="ignore"):
-        vals = np.sum(weights * np.log(np.abs(np.where(factors == 0.0, _TINY, factors))), axis=1)
-    if q is not None:
-        qv = vecs @ q
-        vals += np.log(np.abs(np.where(qv == 0.0, _TINY, qv)))
+    vals = _log_overlaps(_product_vectors(tt1, tt2), m, q, weights).ravel()
     order = np.argsort(vals)[::-1][:AF_GRID_STARTS]
     return [np.array([tt1.ravel()[i], tt2.ravel()[i]]) for i in order]
 
 
+def _af_value_grad(t, m, q, weights):
+    """The period-2 objective at t = (t1, t2), the log-overlap at the block
+    v = a x b with a = (cos t1, sin t1) and b = (cos t2, sin t2), and its
+    gradient in t.  With G the 2x2 reshape of the gradient in v, the chain
+    rule through the tensor product gives d/da = G b and d/db = G^T a."""
+    a = np.array([math.cos(t[0]), math.sin(t[0])])
+    b = np.array([math.cos(t[1]), math.sin(t[1])])
+    val, grad_v = _forms_value_grad(_product_vectors(t[0], t[1]), m, q, weights)
+    g = grad_v.reshape(2, 2)
+    grad_a, grad_b = g @ b, a @ g
+    # da/dt1 = (-sin t1, cos t1) = (-a[1], a[0]), and likewise for b
+    return val, np.array([a[0] * grad_a[1] - a[1] * grad_a[0], b[0] * grad_b[1] - b[1] * grad_b[0]])
+
+
 def _maximize_af(m, q, weights, starts, best_val=-np.inf, best_t=None):
-    """Gradient ascent of the log-product objective over the period-2
-    product family (a, b, c, d) = (cos t1, sin t1) x (cos t2, sin t2) from
-    each start.  Returns the best (log value, t), which stays
-    (best_val, best_t) unless a start beats it strictly."""
+    """Gradient ascent of the period-2 objective from each start.  Returns
+    the best (log value, t), which stays (best_val, best_t) unless a start
+    beats it strictly."""
 
     def negative(t):
-        t1, t2 = float(t[0]), float(t[1])
-        val, grad_v = _forms_value_grad(_af_vector(t1, t2), m, q, weights)
-        d1 = np.array(
-            [
-                -math.sin(t1) * math.cos(t2),
-                -math.sin(t1) * math.sin(t2),
-                math.cos(t1) * math.cos(t2),
-                math.cos(t1) * math.sin(t2),
-            ]
-        )
-        d2 = np.array(
-            [
-                -math.cos(t1) * math.sin(t2),
-                math.cos(t1) * math.cos(t2),
-                -math.sin(t1) * math.sin(t2),
-                math.sin(t1) * math.cos(t2),
-            ]
-        )
-        return -val, -np.array([grad_v @ d1, grad_v @ d2])
+        val, grad = _af_value_grad(t, m, q, weights)
+        return -val, -grad
 
     for t0 in starts:
         res = minimize(negative, t0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
@@ -429,7 +391,11 @@ class EvenVacuumAnalysis:
     def site_optimum(self) -> tuple[float, float, float, float]:
         """(xi, log Lambda) after golden-section refinement around the best
         cell of a dense xi grid, followed by (xi, log Lambda) of that cell."""
-        logf = _site_log_overlap(self.angles, self.sites)
+        m, q, weights = self.forms
+
+        def logf(xi):
+            return _log_overlaps(_product_vectors(0.5 * xi, 0.5 * xi), m, q, weights)
+
         grid = np.linspace(0.0, math.pi, SITE_GRID_POINTS)
         values = logf(grid)
         best = int(np.argmax(values))
@@ -484,9 +450,8 @@ def maximize_block(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
     analysis = _analysis(spec)
     m, q, weights = analysis.forms
     xi = analysis.site_optimum[0]
-    c, s = math.cos(xi / 2.0), math.sin(xi / 2.0)
     af_t = analysis.af_optimum[1]
-    starts = _block_starts([np.array([c * c, c * s, c * s, s * s]), _af_vector(af_t[0], af_t[1])])
+    starts = _block_starts([_product_vectors(0.5 * xi, 0.5 * xi), _product_vectors(*af_t)])
     log_lambda, v = _maximize_on_sphere(m, q, weights, starts)
     return analysis.result(log_lambda, BlockAnsatz(*(float(x) for x in v)), "per_block")
 
@@ -502,7 +467,7 @@ def maximize_site_af(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult
     log_lambda, t = _maximize_af(
         m, q, weights, [np.array([xi / 2.0, xi / 2.0])], *analysis.af_optimum
     )
-    v = _canonical_sign(_af_vector(t[0], t[1]))
+    v = _canonical_sign(_product_vectors(*t))
     return analysis.result(log_lambda, BlockAnsatz(*(float(x) for x in v)), "per_site_af")
 
 
@@ -579,10 +544,14 @@ def thermo_block_density(theta_of_mu, quad_tol: float = THERMO_QUAD_TOL) -> floa
 
 # --- scan utilities -----------------------------------------------------------
 
-def uniform_step(xs) -> float:
-    """The spacing of ``xs``, a grid that ``scan_derivative`` accepts: at
-    least 3 strictly increasing, uniformly spaced points."""
+def scan_derivative(xs, ys) -> np.ndarray:
+    """Finite-difference derivative on a uniform grid of at least 3 strictly
+    increasing points: central differences in the interior, one-sided at
+    the ends."""
     xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError("xs and ys must be 1-D arrays of equal length")
     if xs.size < 3:
         raise ValueError("need at least 3 points")
     steps = np.diff(xs)
@@ -590,14 +559,4 @@ def uniform_step(xs) -> float:
         raise ValueError("xs must be strictly increasing")
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12 * max(1.0, abs(xs[-1] - xs[0]))):
         raise ValueError("non-uniform grid")
-    return float(steps[0])
-
-
-def scan_derivative(xs, ys) -> np.ndarray:
-    """Finite-difference derivative on a uniform grid: central differences
-    in the interior, one-sided at the ends."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError("xs and ys must be 1-D arrays of equal length")
-    return np.gradient(ys, uniform_step(xs))
+    return np.gradient(ys, steps[0])

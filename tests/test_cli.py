@@ -27,10 +27,14 @@ def test_sweep_points_inclusive_endpoints():
     assert pts == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
-def test_sweep_points_clamped_to_stop():
-    pts = sweep_points(0.0, 1.0, 0.3)
-    assert pts[-1] == 1.0
-    assert len(pts) == 4
+def test_parse_sweep_rejects_partial_step():
+    # no grid of these ends at stop without moving a point (0:1:0.3 would
+    # need 0.9 moved to 1.0) or dropping the start (0:1:10 would give [1.0])
+    for text in ("h:0:1:0.3", "h:0:1:10", "h:0:1:2.5", "h:0:1e-12:1"):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            parse_sweep(text)
+    pts = sweep_points(*parse_sweep("h:0:1:0.1")[1:])
+    assert len(pts) == 11 and pts[-1] == 1.0
 
 
 def test_parse_sweep_rejects_non_finite():
@@ -48,9 +52,9 @@ def test_parse_sweep_rejects_non_finite():
             parse_sweep(text)
 
 
-def test_ent_scan_rejects_clamped_derivative_grid_before_solving(monkeypatch, capsys):
-    # h:0:1:0.3 clamps its last point from 0.9 to 1.0, so the derivative's
-    # grid is non-uniform; that must be caught before any point is solved
+def test_ent_scan_rejects_partial_step_sweep_before_solving(monkeypatch, capsys):
+    # a range that is not a whole number of steps exits 2 before any point
+    # is solved, with or without the derivative
     built = []
 
     class Counting(cli.EvenVacuumAnalysis):
@@ -60,15 +64,12 @@ def test_ent_scan_rejects_clamped_derivative_grid_before_solving(monkeypatch, ca
 
     monkeypatch.setattr(cli, "EvenVacuumAnalysis", Counting)
     base = ["ent-scan", "--model", "xzy", "--r", "0.5", "--sites", "16"]
-    code, out, err = run_cli(
-        base + ["--sweep", "h:0:1:0.3", "--quantities", "ent_site,derivative"], capsys
-    )
-    assert code == 2
-    assert "non-uniform" in err and out == ""
+    for sweep in ("h:0:1:0.3", "h:0:1:10"):
+        for quantities in ("ent_site", "ent_site,derivative"):
+            code, out, err = run_cli(base + ["--sweep", sweep, "--quantities", quantities], capsys)
+            assert code == 2
+            assert "whole number of steps" in err and out == ""
     assert built == []
-    code, out, _ = run_cli(base + ["--sweep", "h:0:1:0.3", "--quantities", "ent_site"], capsys)
-    assert code == 0
-    assert len(built) == 4
 
 
 def test_thermo_rejects_several_sizes(capsys):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import clusterxy as cx
-from clusterxy.entanglement import THERMO_NODES, EvenVacuumError, _block_forms, _thermo_rule
+from clusterxy.entanglement import (
+    THERMO_NODES,
+    EvenVacuumAnalysis,
+    EvenVacuumError,
+    _af_value_grad,
+    _block_forms,
+    _thermo_rule,
+)
 
 
 def test_overlap_site_vacuum_limits():
@@ -38,18 +45,41 @@ def test_overlap_bound_random_angles():
 
 
 def test_block_reduces_to_site():
-    # setting the block to a repeated one-site state collapses the block
-    # product onto the single-site product, including the unpaired factor
+    # the site overlap is the block overlap at s x s; compare it with the
+    # single-site product prod_k [cos(theta_k) cos^2(xi/2)
+    # + sin(theta_k) sin^2(xi/2) cot(pi(k+1/2)/N)], including the unpaired
+    # factor of N/2 odd
     rng = np.random.default_rng(8)
     for sites in (6, 8, 10, 12):
         angles = rng.uniform(-math.pi / 2, math.pi / 2, sites // 2)
+        cot = 1.0 / np.tan(np.pi * (np.arange(sites // 2) + 0.5) / sites)
         for _ in range(10):
             xi = rng.uniform(0, math.pi)
-            alpha, beta = math.cos(xi / 2), math.sin(xi / 2)
-            block = np.array([alpha * alpha, alpha * beta, alpha * beta, beta * beta])
-            lhs = cx.overlap_block(angles, block, sites)
-            rhs = cx.overlap_site(angles, xi, sites)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+            closed = np.prod(
+                np.cos(angles) * math.cos(xi / 2) ** 2
+                + np.sin(angles) * math.sin(xi / 2) ** 2 * cot
+            )
+            assert cx.overlap_site(angles, xi, sites) == pytest.approx(closed, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [cx.preset_spt_afm(0.8, 66), cx.preset_xny(1, 0.5, 0.8, 64)],
+    ids=["spt_afm_unpaired_q", "xzy"],
+)
+def test_af_gradient_matches_central_differences(spec):
+    m, q, weights = EvenVacuumAnalysis(spec).forms
+    assert (q is not None) == (spec.sites % 4 != 0)
+    rng = np.random.default_rng(61)
+    step = 1e-6
+    for t in rng.uniform(0.0, math.pi, size=(3, 2)):
+        _, grad = _af_value_grad(t, m, q, weights)
+        fd = [
+            (_af_value_grad(t + step * e, m, q, weights)[0]
+             - _af_value_grad(t - step * e, m, q, weights)[0]) / (2 * step)
+            for e in np.eye(2)
+        ]
+        assert np.linalg.norm(fd - grad) <= 1e-7 * np.linalg.norm(grad)
 
 
 def test_unpaired_factor_only_when_half_is_odd():

@@ -10,13 +10,19 @@ density.  Re-record with
 
     PYTHONPATH=src python tests/test_golden.py --record [case ...]
 
-only when an output change is intended, and say why in CHANGES.md.
+only when an output change is intended, and say why in CHANGES.md.  To see
+how far each column of a case moved against its stored golden, without
+writing anything, run
+
+    PYTHONPATH=src python tests/test_golden.py --compare [case ...]
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -108,10 +114,65 @@ def test_golden_output(name):
     assert diff is None, f"{name} differs from its golden at {diff}"
 
 
+def _table(text: str) -> tuple[list, list[list]] | None:
+    """(columns, rows) of a CSV or JSON table output; None for other text."""
+    if text.startswith("{"):
+        payload = json.loads(text)
+        return payload["columns"], payload["rows"]
+    if not text.startswith("#"):
+        return None
+    rows = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
+    return rows[0], rows[1:]
+
+
+def _number(cell) -> float | None:
+    if isinstance(cell, bool) or cell is None:
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def compare(name: str) -> list[str]:
+    """Report lines on how the output of case ``name`` moved against its
+    golden: per column, the count of moved cells and the largest absolute
+    and relative move of the numeric ones."""
+    got = run_case(name)
+    want = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
+    if got == want:
+        return [f"{name}: byte-identical"]
+    got_table, want_table = _table(got), _table(want)
+    if got_table is None or want_table is None:
+        return [f"{name}: differs, not a table: {first_difference(got, want)}"]
+    (got_cols, got_rows), (want_cols, want_rows) = got_table, want_table
+    if got_cols != want_cols or len(got_rows) != len(want_rows):
+        return [f"{name}: columns or row count differ: {first_difference(got, want)}"]
+    lines = []
+    for j, column in enumerate(want_cols):
+        moved = [(g[j], w[j]) for g, w in zip(got_rows, want_rows) if g[j] != w[j]]
+        if not moved:
+            continue
+        pairs = [(_number(g), _number(w)) for g, w in moved]
+        deltas = [(abs(g - w), abs(g - w) / abs(w) if w else math.inf)
+                  for g, w in pairs if g is not None and w is not None]
+        line = f"{name}: {column}: {len(moved)} of {len(want_rows)} cells moved"
+        if deltas:
+            line += (f", max abs {max(d[0] for d in deltas):.2e}"
+                     f", max rel {max(d[1] for d in deltas):.2e}")
+        if len(deltas) < len(moved):
+            line += f", {len(moved) - len(deltas)} non-numeric"
+        lines.append(line)
+    return lines or [f"{name}: cells equal, formatting differs: {first_difference(got, want)}"]
+
+
 if __name__ == "__main__":
-    names = sys.argv[2:] or list(CASES)
-    if sys.argv[1:2] != ["--record"] or set(names) - set(CASES):
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record [case ...]")
+    mode, names = sys.argv[1:2], sys.argv[2:] or list(CASES)
+    if mode not in (["--record"], ["--compare"]) or set(names) - set(CASES):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record|--compare [case ...]")
     for case in names:
-        (GOLDEN / f"{case}.out").write_bytes(run_case(case).encode("utf-8"))
-        print(f"recorded {case}")
+        if mode == ["--compare"]:
+            print("\n".join(compare(case)))
+        else:
+            (GOLDEN / f"{case}.out").write_bytes(run_case(case).encode("utf-8"))
+            print(f"recorded {case}")
