@@ -41,7 +41,6 @@ from .entanglement import (
     overlap_block,
     overlap_site,
     scan_derivative,
-    theta_function,
     thermo_block_density,
 )
 from .oracle import (

@@ -29,7 +29,6 @@ from .entanglement import (
     maximize_site,
     maximize_site_af,
     scan_derivative,
-    theta_function,
     thermo_block_density,
 )
 from .crosscheck import CHECK_PRESETS, run_checks
@@ -307,7 +306,7 @@ def cmd_thermo(source: ModelSource, request: ScanRequest) -> tuple[list[str], li
                 "the model has no fixed thermodynamic-limit angle"
             )
         try:
-            density = thermo_block_density(theta_function(spec))
+            density = thermo_block_density(spec)
         except QuadratureError as exc:
             raise QuadratureError(f"at {param}={value}: {exc}") from exc
         rows.append([value, density, _model_json(spec)])

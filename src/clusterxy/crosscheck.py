@@ -147,24 +147,22 @@ def run_checks(
             raise ValueError(
                 f"oracle checks are capped at {MAX_DENSE_SITES} sites, got {n}"
             )
-    rows: list[CheckRow] = []
     grid = np.linspace(SPAN[0], SPAN[1], points)
-    rng = np.random.default_rng(97531)
+    unknown = [name for name in names if name not in CHECK_PRESETS]
+    if unknown:
+        raise ValueError(f"unknown preset {unknown[0]!r}; choose from {sorted(CHECK_PRESETS)}")
+    # every model is built, and so validated, before the first dense build
+    cases = []
     for name in names:
-        if name not in CHECK_PRESETS:
-            raise ValueError(f"unknown preset {name!r}; choose from {sorted(CHECK_PRESETS)}")
         preset, parameter, fixed = CHECK_PRESETS[name]
         build = mdl.PRESETS[preset].build
-        for n in sites:
-            for p in grid:
-                rows.extend(
-                    check_model(
-                        name,
-                        build({**fixed, parameter: float(p)}, int(n)),
-                        float(p),
-                        include_state=include_state,
-                        flip_theta_sign=flip_theta_sign,
-                        rng=rng,
-                    )
-                )
+        cases += [(name, build({**fixed, parameter: float(p)}, int(n)), float(p)) for n in sites for p in grid]
+    rng = np.random.default_rng(97531)
+    rows: list[CheckRow] = []
+    for name, spec, p in cases:
+        rows.extend(
+            check_model(
+                name, spec, p, include_state=include_state, flip_theta_sign=flip_theta_sign, rng=rng
+            )
+        )
     return rows

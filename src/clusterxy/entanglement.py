@@ -15,9 +15,10 @@ translation-invariant ansatze, site <= period-2 <= block:
 Maximizing the squared overlap gives the geometric entanglement
 E = -log2(Lambda_max^2) and its per-site density E/N.  The site search is
 a dense xi grid plus golden-section refinement; the period-2 and block
-searches are multi-start gradient ascents.  A thermodynamic-limit version
-of the per-block density is evaluated by quadrature over the continuous
-Bogoliubov angle.
+searches run through one multi-start gradient ascent, ``_ascend``.  The
+thermodynamic-limit per-block density integrates the same log-overlap
+evaluator over the continuous Bogoliubov angle, and maximizes it with the
+block search.
 
 The three finite-N maximizers accept a model or its ``EvenVacuumAnalysis``;
 passing one analysis to several of them solves the ground state and the
@@ -241,13 +242,25 @@ def _forms_value_grad(v, m, q, weights):
     return val, grad_v
 
 
-def _maximize_on_sphere(m, q, weights, starts):
-    """Multi-start gradient ascent of the log-product objective over the
-    amplitude sphere; returns (best log value, best unit vector)."""
+def _ascend(value_grad, starts, best_val=-np.inf, best_x=None):
+    """Multi-start L-BFGS-B ascent of ``value_grad``, x -> (value, gradient).
+    Returns the best (value, x), which stays (best_val, best_x) unless a
+    start beats it strictly."""
 
-    def negative(v):
-        val, grad = _forms_value_grad(v, m, q, weights)
+    def negative(x):
+        val, grad = value_grad(x)
         return -val, -grad
+
+    for x0 in starts:
+        res = minimize(negative, x0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
+        if -res.fun > best_val:
+            best_val, best_x = -res.fun, res.x
+    return best_val, best_x
+
+
+def _maximize_on_sphere(m, q, weights, starts):
+    """Ascent of the log-product objective over the amplitude sphere from
+    each start; returns (best log value, best unit vector)."""
 
     def clamped(x):
         factors = np.einsum("kij,i,j->k", m, x, x)
@@ -255,7 +268,7 @@ def _maximize_on_sphere(m, q, weights, starts):
             return True
         return q is not None and abs(float(q @ x)) < 1e-100
 
-    best_val, best_v = -np.inf, None
+    unit_starts = []
     for x0 in starts:
         x0 = np.asarray(x0, dtype=float)
         x0 = x0 / np.linalg.norm(x0)
@@ -263,9 +276,8 @@ def _maximize_on_sphere(m, q, weights, starts):
             # a vanishing factor kills the clamped gradient; nudge off it
             x0 = x0 + 0.05
             x0 = x0 / np.linalg.norm(x0)
-        res = minimize(negative, x0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
-        if -res.fun > best_val:
-            best_val, best_v = -res.fun, res.x
+        unit_starts.append(x0)
+    best_val, best_v = _ascend(lambda v: _forms_value_grad(v, m, q, weights), unit_starts)
     return best_val, _canonical_sign(best_v / np.linalg.norm(best_v))
 
 
@@ -334,22 +346,6 @@ def _af_value_grad(t, m, q, weights):
     return val, np.array([a[0] * grad_a[1] - a[1] * grad_a[0], b[0] * grad_b[1] - b[1] * grad_b[0]])
 
 
-def _maximize_af(m, q, weights, starts, best_val=-np.inf, best_t=None):
-    """Gradient ascent of the period-2 objective from each start.  Returns
-    the best (log value, t), which stays (best_val, best_t) unless a start
-    beats it strictly."""
-
-    def negative(t):
-        val, grad = _af_value_grad(t, m, q, weights)
-        return -val, -grad
-
-    for t0 in starts:
-        res = minimize(negative, t0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
-        if -res.fun > best_val:
-            best_val, best_t = -res.fun, res.x
-    return best_val, best_t
-
-
 # --- one analysis per model ---------------------------------------------------
 
 class EvenVacuumAnalysis:
@@ -412,12 +408,10 @@ class EvenVacuumAnalysis:
         """(log Lambda, (t1, t2)) of the period-2 family, ascended from the
         grid starts only."""
         m, q, weights = self.forms
-        return _maximize_af(m, q, weights, _af_grid_starts(m, q, weights))
+        return _ascend(lambda t: _af_value_grad(t, m, q, weights), _af_grid_starts(m, q, weights))
 
     def result(self, log_lambda: float, optimum, mode: str) -> EntanglementResult:
-        eg_total = -2.0 * log_lambda / _LN2
-        if abs(eg_total) < 1e-14:
-            eg_total = abs(eg_total)
+        eg_total = _unsigned_zero(-2.0 * log_lambda / _LN2)
         return EntanglementResult(
             lambda_max=math.exp(log_lambda),
             eg_total=eg_total,
@@ -426,6 +420,12 @@ class EvenVacuumAnalysis:
             mode=mode,
             ground_degenerate=self.report.degenerate,
         )
+
+
+def _unsigned_zero(value: float) -> float:
+    """``value``, or its magnitude when that is below 1e-14: a vanishing
+    entanglement is 0, never -0 or a negative rounding residue."""
+    return abs(value) if abs(value) < 1e-14 else value
 
 
 def _analysis(target) -> EvenVacuumAnalysis:
@@ -464,35 +464,15 @@ def maximize_site_af(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult
     analysis = _analysis(spec)
     m, q, weights = analysis.forms
     xi = analysis.site_optimum[0]
-    log_lambda, t = _maximize_af(
-        m, q, weights, [np.array([xi / 2.0, xi / 2.0])], *analysis.af_optimum
+    log_lambda, t = _ascend(
+        lambda x: _af_value_grad(x, m, q, weights), [np.array([xi / 2.0, xi / 2.0])],
+        *analysis.af_optimum,
     )
     v = _canonical_sign(_product_vectors(*t))
     return analysis.result(log_lambda, BlockAnsatz(*(float(x) for x in v)), "per_site_af")
 
 
 # --- thermodynamic limit ------------------------------------------------------
-
-def theta_function(spec: ModelSpec):
-    """Continuous-momentum Bogoliubov angle mu -> theta(mu) of a model,
-    defined by its blocks and field (system size drops out)."""
-    def theta(mu):
-        out = bogoliubov_angle(*dispersion(spec, mu))
-        return out if out.shape else float(out)
-
-    return theta
-
-
-def _thermo_integrand(theta_of_mu, v):
-    def integrand(mu):
-        mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
-        m = pair_forms(theta_of_mu(mu_arr), theta_of_mu(np.pi - mu_arr), mu_arr)
-        vals = np.einsum("kij,i,j->k", m, v, v)
-        out = np.log(np.maximum(np.abs(vals), _TINY))
-        return float(out[0]) if np.isscalar(mu) or np.asarray(mu).shape == () else out
-
-    return integrand
-
 
 @cache
 def _thermo_rule() -> tuple[np.ndarray, np.ndarray]:
@@ -509,26 +489,33 @@ def _thermo_rule() -> tuple[np.ndarray, np.ndarray]:
     return mu, weights
 
 
-def thermo_block_density(theta_of_mu, quad_tol: float = THERMO_QUAD_TOL) -> float:
+def thermo_block_density(spec: ModelSpec) -> float:
     """Thermodynamic-limit per-site density of the two-site-block
     entanglement: -1/pi times the integral of log2 of the overlap factor
-    over mu in (0, pi/2), maximized over the block amplitudes.
+    over mu in (0, pi/2), maximized over the block amplitudes.  The pair
+    forms take the continuous Bogoliubov angle theta(mu) of the model's
+    blocks and field; its system size drops out.
 
     The maximization runs on fixed high-order quadrature nodes (with a
     square-root substitution absorbing the logarithmic endpoint
     singularity); the integral at the optimum is then re-evaluated by
-    adaptive quadrature to ``quad_tol`` and a QuadratureError is raised if
-    that fails to converge.
+    adaptive quadrature to THERMO_QUAD_TOL and a QuadratureError is raised
+    if that fails to converge.
     """
-    mu, weights = _thermo_rule()
-    m = pair_forms(theta_of_mu(mu), theta_of_mu(np.pi - mu), mu)
-    log_integral, v = _maximize_on_sphere(m, None, weights, _block_starts([]))
 
-    integrand = _thermo_integrand(theta_of_mu, v)
-    value, abserr, info = quad(
-        integrand, 0.0, 0.5 * math.pi, epsabs=quad_tol, epsrel=0.0, limit=400, full_output=True
-    )[:3]
-    if abserr > 100.0 * max(quad_tol, abs(value) * 1e-12):
+    def forms(mu):
+        theta = bogoliubov_angle(*dispersion(spec, mu))
+        theta_reflected = bogoliubov_angle(*dispersion(spec, np.pi - mu))
+        return pair_forms(theta, theta_reflected, mu)
+
+    mu, weights = _thermo_rule()
+    log_integral, v = _maximize_on_sphere(forms(mu), None, weights, _block_starts([]))
+
+    value, abserr = quad(
+        lambda x: float(_log_overlaps(v, forms(np.array([x])), None, 1.0)),
+        0.0, 0.5 * math.pi, epsabs=THERMO_QUAD_TOL, epsrel=0.0, limit=400, full_output=True,
+    )[:2]
+    if abserr > 100.0 * max(THERMO_QUAD_TOL, abs(value) * 1e-12):
         raise QuadratureError(
             f"integral did not converge (estimate {value}, error {abserr})"
         )
@@ -539,7 +526,7 @@ def thermo_block_density(theta_of_mu, quad_tol: float = THERMO_QUAD_TOL) -> floa
             "fixed-node and adaptive quadrature disagree "
             f"({log_integral} vs {value}); integrand may be singular"
         )
-    return -value / (math.pi * _LN2)
+    return _unsigned_zero(-value / (math.pi * _LN2))
 
 
 # --- scan utilities -----------------------------------------------------------

@@ -5,7 +5,8 @@ import json
 import pytest
 
 import clusterxy as cx
-from clusterxy import cli
+from clusterxy import cli, crosscheck
+from clusterxy.oracle import model_hamiltonian
 from clusterxy.cli import main, parse_sweep, sweep_points
 
 
@@ -193,6 +194,14 @@ def test_thermo_verb(capsys):
     assert all(float(r[1]) >= 0 for r in rows)
 
 
+def test_thermo_prints_unsigned_zero(capsys):
+    # free spins have a flat angle at h=0.5 and h=1: the density is 0, not -0
+    code, out, _ = run_cli(["thermo", "--model", "free", "--sweep", "h:0.5:1:0.5"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r[1] for r in rows] == ["0", "0"]
+
+
 def test_thermo_rejects_halfway(capsys):
     cases = [
         ["--model", "halfway-xy", "--sweep", "h:0:1:0.5"],
@@ -306,6 +315,26 @@ def test_check_size_guard(capsys):
     code, _, err = run_cli(["check", "--sites", "16"], capsys)
     assert code == 2
     assert "capped" in err
+
+
+def test_check_validates_every_model_before_any_dense_build(monkeypatch, capsys):
+    built = []
+
+    def counting(spec):
+        built.append(spec)
+        return model_hamiltonian(spec)
+
+    monkeypatch.setattr(crosscheck, "model_hamiltonian", counting)
+    # halfway-xy rejects the odd size only after xy, xzy and xn2y in order;
+    # bogus comes after xy
+    for argv, message in (
+        (["--sites", "11", "--points", "2"], "even number of sites"),
+        (["--sites", "6", "--points", "2", "--presets", "xy,bogus"], "unknown preset"),
+    ):
+        code, out, err = run_cli(["check", *argv], capsys)
+        assert code == 2, argv
+        assert message in err and out == ""
+    assert built == []
 
 
 def test_check_runs_at_twelve_sites(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import clusterxy as cx
+from clusterxy.freefermion import dispersion
 from clusterxy.entanglement import (
     THERMO_NODES,
     EvenVacuumAnalysis,
@@ -221,20 +222,24 @@ def test_even_vacuum_precondition_enforced():
 
 
 def test_thermo_flat_angle_gives_zero():
-    assert cx.thermo_block_density(lambda mu: np.zeros_like(np.asarray(mu))) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    # free spins at h=1 have theta(mu) = 0 at every momentum
+    spec = cx.preset_free(1.0, 16)
+    assert np.all(cx.bogoliubov_angle(*dispersion(spec, np.linspace(0.1, 3.0, 7))) == 0.0)
+    density = cx.thermo_block_density(spec)
+    assert density == pytest.approx(0.0, abs=1e-12)
+    # a vanishing density is +0, not -0
+    assert math.copysign(1.0, density) == 1.0
 
 
 def test_thermo_matches_large_finite_xy():
     spec = cx.preset_xny(0, 1.0, 2.0, 16)
-    density = cx.thermo_block_density(cx.theta_function(spec))
+    density = cx.thermo_block_density(spec)
     finite = cx.maximize_block(cx.preset_xny(0, 1.0, 2.0, 1024))
     assert density == pytest.approx(finite.density, abs=1e-4)
 
 
 def test_thermo_matches_large_finite_ghz():
-    density = cx.thermo_block_density(cx.theta_function(cx.preset_ghz_cluster(0.5, 16)))
+    density = cx.thermo_block_density(cx.preset_ghz_cluster(0.5, 16))
     finite = cx.maximize_block(cx.preset_ghz_cluster(0.5, 512))
     assert density == pytest.approx(finite.density, abs=1e-3)
 
@@ -250,9 +255,9 @@ def test_thermo_rule_built_once(monkeypatch):
 
     monkeypatch.setattr(legendre, "leggauss", counting)
     _thermo_rule.cache_clear()
-    theta = cx.theta_function(cx.preset_xny(1, 0.5, 0.8, 16))
-    first = cx.thermo_block_density(theta)
-    assert cx.thermo_block_density(theta) == first
+    spec = cx.preset_xny(1, 0.5, 0.8, 16)
+    first = cx.thermo_block_density(spec)
+    assert cx.thermo_block_density(spec) == first
     assert calls == [THERMO_NODES]
     mu, weights = _thermo_rule()
     for arr in (mu, weights):
@@ -261,11 +266,12 @@ def test_thermo_rule_built_once(monkeypatch):
 
 
 def test_theta_function_matches_finite_grid():
+    # the thermodynamic path's theta(mu) sampled at the ring's momenta is
+    # the finite ring's vacuum angles
     spec = cx.preset_xny(1, 0.6, 0.8, 64)
-    theta = cx.theta_function(spec)
     angles = cx.even_vacuum_angles(spec)
     mus = 2 * np.pi * (np.arange(32) + 0.5) / 64
-    assert np.allclose(theta(mus), angles, atol=1e-12)
+    assert np.allclose(cx.bogoliubov_angle(*dispersion(spec, mus)), angles, atol=1e-12)
 
 
 # --- scan derivative -----------------------------------------------------------
