@@ -2,6 +2,9 @@
 thermodynamic-limit densities, and oracle cross-checks, emitted as CSV or
 JSON tables.
 
+The sweep verbs share one resolved ``Scan``; a model file is a preset of
+the field, and ``thermo`` runs at the nominal size, so takes no ``--sites``.
+
 Every emitted row carries the fully resolved model (as compact JSON), sweep
 endpoints are inclusive, floats are printed with 17 significant digits, and
 identical requests produce byte-identical output.
@@ -18,7 +21,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import model as mdl
 from .freefermion import Sector, ground_and_gap, sector_states
@@ -38,112 +40,11 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
 
-ENT_KINDS = ("ent_site", "ent_block", "ent_af")
 _ENT_FUNCS = {
     "ent_site": maximize_site,
     "ent_block": maximize_block,
     "ent_af": maximize_site_af,
 }
-
-
-@dataclass(frozen=True)
-class ScanRequest:
-    """A fully resolved CLI request (echoed into every output file)."""
-
-    command: str
-    model: dict
-    sites: tuple[int, ...]
-    sweep: tuple[str, float, float, float] | None
-    quantities: tuple[str, ...] = ()
-    levels: int = 2
-    fmt: str = "csv"
-    output: str | None = None
-    extras: dict = field(default_factory=dict)
-
-    def echo(self) -> dict:
-        data = {
-            "command": self.command,
-            "model": self.model,
-            "sites": list(self.sites),
-            "format": self.fmt,
-        }
-        if self.sweep is not None:
-            param, start, stop, step = self.sweep
-            data["sweep"] = {"parameter": param, "start": start, "stop": stop, "step": step}
-        if self.quantities:
-            data["quantities"] = list(self.quantities)
-        if self.command == "spectrum":
-            data["levels"] = self.levels
-        data.update(self.extras)
-        return data
-
-
-# --- model resolution ---------------------------------------------------------
-
-class ModelSource:
-    """Builds ModelSpecs for sweep points, either from a preset plus its
-    parameters or from a model-definition file."""
-
-    def __init__(self, args):
-        self.preset = args.model
-        self.path = args.model_file
-        if (self.preset is None) == (self.path is None):
-            raise ValueError("exactly one of --model or --model-file is required")
-        self.params = {
-            "r": args.r,
-            "h": args.h,
-            "g": args.g,
-            "lambda": args.lambda_,
-            "n": args.n,
-            "m": args.m,
-            "halfway": args.halfway,
-        }
-        if self.path is not None:
-            self.base = mdl.load_model(self.path)
-        else:
-            if self.preset not in mdl.PRESETS:
-                raise ValueError(f"unknown preset {self.preset!r}; see `clusterxy presets`")
-            self.base = None
-
-    def describe(self) -> dict:
-        if self.path is not None:
-            return {"file": str(self.path), "definition": mdl.model_to_dict(self.base)}
-        used = mdl.PRESETS[self.preset].parameters
-        return {
-            "preset": self.preset,
-            "parameters": {key: self.params[key] for key in used},
-        }
-
-    def default_sites(self) -> int | None:
-        return self.base.sites if self.base is not None else None
-
-    def sweepable(self) -> tuple[str, ...]:
-        if self.path is not None:
-            return ("h", "field")
-        used = mdl.PRESETS[self.preset].parameters
-        return tuple(p for p in used if p != "halfway") + (("field",) if "h" in used else ())
-
-    def check_sweep(self, param: str) -> None:
-        """Raise ValueError unless ``param`` can be swept for this model."""
-        valid = self.sweepable()
-        if param in valid and param in ("n", "m") and self.params["halfway"]:
-            raise ValueError(f"cannot sweep {param!r} with --halfway, which sets the spans to sites/2 - 1")
-        if param not in valid:
-            raise ValueError(
-                f"cannot sweep {param!r} for this model; valid parameters: {', '.join(valid)}"
-            )
-
-    def build(self, sites: int, override: tuple[str, float] | None = None) -> mdl.ModelSpec:
-        if self.path is not None:
-            field_value = self.base.field
-            if override is not None:
-                field_value = override[1]
-            return mdl.make_model(sites, field_value, self.base.blocks)
-        params = dict(self.params)
-        if override is not None:
-            key = "h" if override[0] == "field" else override[0]
-            params[key] = override[1]
-        return mdl.PRESETS[self.preset].build(params, sites)
 
 
 # --- sweep handling -----------------------------------------------------------
@@ -185,6 +86,67 @@ def _parse_sites(text: str) -> tuple[int, ...]:
     return sites
 
 
+# --- the resolved request -------------------------------------------------------
+
+class Scan:
+    """A sweep request resolved once: the model family with its parameters,
+    the sizes, the sweep values, and the request echo written above the
+    table.  A model file is one more preset, whose only parameter is the
+    field ``h`` (the file's field unless swept) and whose size is the file's."""
+
+    def __init__(self, args):
+        if (args.model is None) == (args.model_file is None):
+            raise ValueError("exactly one of --model or --model-file is required")
+        if args.model_file is not None:
+            base = mdl.load_model(args.model_file)
+            self.preset = mdl.Preset(
+                ("h",), "model file", lambda p, n: mdl.make_model(n, p["h"], base.blocks)
+            )
+            self.params = {"h": base.field}
+            model = {"file": str(args.model_file), "definition": mdl.model_to_dict(base)}
+            nominal = base.sites
+        elif args.model in mdl.PRESETS:
+            self.preset = mdl.PRESETS[args.model]
+            # every preset option, named as the parameter it sets
+            self.params = {key: vars(args)[key] for key in ("r", "h", "g", "lambda", "n", "m", "halfway")}
+            shown = {key: self.params[key] for key in self.preset.parameters}
+            model = {"preset": args.model, "parameters": shown}
+            nominal = 8
+        else:
+            raise ValueError(f"unknown preset {args.model!r}; see `clusterxy presets`")
+
+        param, start, stop, step = parse_sweep(args.sweep)
+        sites = getattr(args, "sites", None)
+        self.sites = _parse_sites(sites) if sites is not None else (nominal,)
+        used = self.preset.parameters
+        valid = tuple(p for p in used if p != "halfway") + (("field",) if "h" in used else ())
+        if param not in valid:
+            raise ValueError(
+                f"cannot sweep {param!r} for this model; valid parameters: {', '.join(valid)}"
+            )
+        if param in ("n", "m") and self.params.get("halfway"):
+            raise ValueError(f"cannot sweep {param!r} with --halfway, which sets the spans to sites/2 - 1")
+        self.param = param
+        self.key = "h" if param == "field" else param
+        self.values = sweep_points(start, stop, step)
+        self.echo = {
+            "command": args.command,
+            "model": model,
+            "sites": list(self.sites),
+            "format": args.format,
+            "sweep": {"parameter": param, "start": start, "stop": stop, "step": step},
+        }
+
+    def model(self, sites: int, value: float) -> mdl.ModelSpec:
+        return self.preset.build({**self.params, self.key: value}, sites)
+
+    def points(self):
+        """(sweep value, model) at every point, sizes outermost."""
+        for n in self.sites:
+            for value in self.values:
+                yield value, self.model(n, value)
+
+
 # --- output -------------------------------------------------------------------
 
 def _fmt_cell(value) -> str:
@@ -197,26 +159,25 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def render_table(request: ScanRequest, columns: list[str], rows: list[list]) -> str:
-    if request.fmt == "json":
-        payload = {"request": request.echo(), "columns": columns, "rows": rows}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    buf = io.StringIO()
-    buf.write(f"# clusterxy {request.command}\n")
-    buf.write("# request: " + json.dumps(request.echo(), sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt_cell(cell) for cell in row])
-    return buf.getvalue()
-
-
-def write_output(request: ScanRequest, columns: list[str], rows: list[list]) -> None:
-    text = render_table(request, columns, rows)
-    if request.output is None:
+def write_output(echo: dict, path: str | None, columns: list[str], rows: list[list]) -> None:
+    """Write the table to ``path`` (stdout if None) as JSON or as CSV under
+    a ``#`` comment block that echoes the request."""
+    if echo["format"] == "json":
+        payload = {"request": echo, "columns": columns, "rows": rows}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        buf = io.StringIO()
+        buf.write(f"# clusterxy {echo['command']}\n")
+        buf.write("# request: " + json.dumps(echo, sort_keys=True) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt_cell(cell) for cell in row])
+        text = buf.getvalue()
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(request.output, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -226,43 +187,42 @@ def _model_json(spec: mdl.ModelSpec) -> str:
 
 # --- verbs --------------------------------------------------------------------
 
-def cmd_spectrum(source: ModelSource, request: ScanRequest) -> tuple[list[str], list[list]]:
-    param = request.sweep[0]
-    points = sweep_points(*request.sweep[1:])
+def cmd_spectrum(args, scan: Scan) -> tuple[list[str], list[list]]:
+    if args.levels < 1:
+        raise ValueError("--levels must be >= 1")
+    scan.echo["levels"] = args.levels
     rows = []
-    for n in request.sites:
-        for value in points:
-            spec = source.build(n, (param, value))
-            for sector in (Sector.ODD, Sector.EVEN):
-                for level, (energy, occ) in enumerate(sector_states(spec, sector, request.levels)):
-                    rows.append([value, n, sector.value, level, energy, len(occ), _model_json(spec)])
-    columns = ["sweep_value", "sites", "sector", "level", "energy", "occupation_size", "model"]
-    return columns, rows
+    for value, spec in scan.points():
+        for sector in (Sector.ODD, Sector.EVEN):
+            for level, (energy, occ) in enumerate(sector_states(spec, sector, args.levels)):
+                rows.append([value, spec.sites, sector.value, level, energy, len(occ), _model_json(spec)])
+    return ["sweep_value", "sites", "sector", "level", "energy", "occupation_size", "model"], rows
 
 
-def cmd_gap_scan(source: ModelSource, request: ScanRequest) -> tuple[list[str], list[list]]:
-    param = request.sweep[0]
-    points = sweep_points(*request.sweep[1:])
-    rows = []
-    for n in request.sites:
-        for value in points:
-            spec = source.build(n, (param, value))
-            rows.append([value, n, ground_and_gap(spec).gap, _model_json(spec)])
+def cmd_gap_scan(args, scan: Scan) -> tuple[list[str], list[list]]:
+    rows = [
+        [value, spec.sites, ground_and_gap(spec).gap, _model_json(spec)]
+        for value, spec in scan.points()
+    ]
     return ["sweep_value", "sites", "gap", "model"], rows
 
 
-def _derivative(points: list[float], series: list) -> list:
-    if len(series) >= 3 and all(v is not None for v in series):
-        return list(scan_derivative(points, series))
-    return [None] * len(series)
-
-
-def cmd_ent_scan(source: ModelSource, request: ScanRequest) -> tuple[list[str], list[list]]:
-    param = request.sweep[0]
-    points = sweep_points(*request.sweep[1:])
-    kinds = [q for q in request.quantities if q in ENT_KINDS]
-    want_derivative = "derivative" in request.quantities
-    want_gap = "gap" in request.quantities
+def cmd_ent_scan(args, scan: Scan) -> tuple[list[str], list[list]]:
+    quantities = [q for q in args.quantities.split(",") if q]
+    allowed = {*_ENT_FUNCS, "gap", "derivative"}
+    unknown = set(quantities) - allowed
+    if unknown:
+        raise ValueError(f"unknown quantities {sorted(unknown)}; allowed: {sorted(allowed)}")
+    if len(set(quantities)) != len(quantities):
+        raise ValueError(f"--quantities lists an entry more than once: {args.quantities!r}")
+    kinds = [q for q in quantities if q in _ENT_FUNCS]
+    if not kinds:
+        raise ValueError("ent-scan needs at least one of ent_site, ent_block, ent_af")
+    if any(n % 2 for n in scan.sites):
+        raise ValueError("entanglement scans require even system sizes")
+    scan.echo["quantities"] = quantities
+    want_gap = "gap" in quantities
+    want_derivative = "derivative" in quantities
 
     columns = ["sweep_value", "sites", "even_vacuum", "degenerate", *kinds]
     if want_gap:
@@ -272,35 +232,35 @@ def cmd_ent_scan(source: ModelSource, request: ScanRequest) -> tuple[list[str], 
     columns.append("model")
 
     rows = []
-    for n in request.sites:
-        chunk, models = [], []
-        for value in points:
-            spec = source.build(n, (param, value))
-            analysis = EvenVacuumAnalysis(spec)
-            vacuum = analysis.report.even_vacuum
-            # points whose ground state is not the even vacuum are flagged
-            # and carry no densities
-            row = [value, n, vacuum, vacuum and analysis.report.degenerate]
-            row += [_ENT_FUNCS[kind](analysis).density if vacuum else None for kind in kinds]
-            if want_gap:
-                row.append(analysis.report.gap)
-            chunk.append(row)
-            models.append(_model_json(spec))
-        if want_derivative:
-            derivs = [_derivative(points, [row[4 + j] for row in chunk]) for j in range(len(kinds))]
-            for i, row in enumerate(chunk):
-                row += [d[i] for d in derivs]
-        rows += [row + [model] for row, model in zip(chunk, models)]
+    for value, spec in scan.points():
+        analysis = EvenVacuumAnalysis(spec)
+        vacuum = analysis.report.even_vacuum
+        # points whose ground state is not the even vacuum are flagged
+        # and carry no densities
+        row = [value, spec.sites, vacuum, vacuum and analysis.report.degenerate]
+        row += [_ENT_FUNCS[kind](analysis).density if vacuum else None for kind in kinds]
+        if want_gap:
+            row.append(analysis.report.gap)
+        rows.append(row + [_model_json(spec)])
+    if want_derivative:
+        # one series per size and kind, written before the model cell; a
+        # series of fewer than 3 points or with a flagged point has none
+        count = len(scan.values)
+        for first in range(0, len(rows), count):
+            chunk = rows[first:first + count]
+            for j in range(len(kinds)):
+                series = [row[4 + j] for row in chunk]
+                whole = count >= 3 and None not in series
+                cells = scan_derivative(scan.values, series) if whole else [None] * count
+                for row, cell in zip(chunk, cells):
+                    row.insert(-1, cell)
     return columns, rows
 
 
-def cmd_thermo(source: ModelSource, request: ScanRequest) -> tuple[list[str], list[list]]:
-    param = request.sweep[0]
-    nominal_sites = request.sites[0]
+def cmd_thermo(args, scan: Scan) -> tuple[list[str], list[list]]:
     rows = []
-    for value in sweep_points(*request.sweep[1:]):
-        spec = source.build(nominal_sites, (param, value))
-        if spec.blocks != source.build(nominal_sites + 2, (param, value)).blocks:
+    for value, spec in scan.points():
+        if spec.blocks != scan.model(spec.sites + 2, value).blocks:
             raise ValueError(
                 "the interactions change with the system size (halfway spans), so "
                 "the model has no fixed thermodynamic-limit angle"
@@ -308,17 +268,27 @@ def cmd_thermo(source: ModelSource, request: ScanRequest) -> tuple[list[str], li
         try:
             density = thermo_block_density(spec)
         except QuadratureError as exc:
-            raise QuadratureError(f"at {param}={value}: {exc}") from exc
+            raise QuadratureError(f"at {scan.param}={value}: {exc}") from exc
         rows.append([value, density, _model_json(spec)])
     return ["sweep_value", "thermo_block_density", "model"], rows
 
 
-def cmd_check(request: ScanRequest, sites: int, points: int, presets, flip_theta_sign: bool):
+#: the sweep verbs: command -> (help, verb)
+SCAN_VERBS = {
+    "spectrum": ("lowest levels per sector along a sweep", cmd_spectrum),
+    "gap-scan": ("ground-state gap along a sweep", cmd_gap_scan),
+    "ent-scan": ("entanglement densities along a sweep", cmd_ent_scan),
+    "thermo": ("thermodynamic-limit block density", cmd_thermo),
+}
+
+
+def cmd_check(args) -> int:
+    presets = args.presets.split(",") if args.presets else None
     rows = run_checks(
-        sites=(sites,),
+        sites=(args.sites,),
         presets=presets,
-        points=points,
-        flip_theta_sign=flip_theta_sign,
+        points=args.points,
+        flip_theta_sign=args.corrupt_theta_sign,
     )
     table = [
         [r.preset, r.sites, r.parameter, r.check, r.error, r.tolerance, "pass" if r.passed else "FAIL"]
@@ -326,9 +296,16 @@ def cmd_check(request: ScanRequest, sites: int, points: int, presets, flip_theta
     ]
     columns = ["preset", "sites", "parameter", "check", "error", "tolerance", "status"]
     failures = sum(1 for r in rows if not r.passed)
-    if request.output is not None or request.fmt == "json":
-        write_output(request, columns, table)
-    if request.output is not None or request.fmt != "json":
+    if args.out is not None or args.format == "json":
+        echo = {
+            "command": "check",
+            "model": {"presets": presets or sorted(CHECK_PRESETS)},
+            "sites": [args.sites],
+            "format": args.format,
+            "points": args.points,
+        }
+        write_output(echo, args.out, columns, table)
+    if args.out is not None or args.format != "json":
         sys.stdout.write(f"checks: {len(rows) - failures} passed, {failures} failed\n")
         for r in rows:
             if not r.passed:
@@ -350,21 +327,6 @@ def cmd_presets() -> int:
 
 # --- argument parsing -----------------------------------------------------------
 
-def _add_model_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", help="preset name (see `clusterxy presets`)")
-    parser.add_argument("--model-file", help="path to a JSON model definition")
-    parser.add_argument("--r", type=float, default=1.0, help="anisotropy (XY-family presets)")
-    parser.add_argument("--h", type=float, default=0.0, help="transverse field")
-    parser.add_argument("--g", type=float, default=0.0, help="GHZ-cluster parameter")
-    parser.add_argument("--lambda", dest="lambda_", type=float, default=0.0, help="AFM coupling")
-    parser.add_argument("--n", type=int, default=0, help="X-block mediator count (xny)")
-    parser.add_argument("--m", type=int, default=None, help="Y-block mediator count (xny; defaults to n)")
-    parser.add_argument("--halfway", action="store_true", help="use half-ring interaction spans")
-    parser.add_argument("--sites", default=None, help="comma-separated system sizes")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterxy",
@@ -372,27 +334,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spec = sub.add_parser("spectrum", help="lowest levels per sector along a sweep")
-    _add_model_args(p_spec)
-    p_spec.add_argument("--sweep", required=True, help="param:start:stop:step")
-    p_spec.add_argument("--levels", type=int, default=2, help="levels per sector")
-
-    p_gap = sub.add_parser("gap-scan", help="ground-state gap along a sweep")
-    _add_model_args(p_gap)
-    p_gap.add_argument("--sweep", required=True, help="param:start:stop:step")
-
-    p_ent = sub.add_parser("ent-scan", help="entanglement densities along a sweep")
-    _add_model_args(p_ent)
-    p_ent.add_argument("--sweep", required=True, help="param:start:stop:step")
-    p_ent.add_argument(
+    scans = {}
+    for name, (text, _) in SCAN_VERBS.items():
+        scans[name] = p_scan = sub.add_parser(name, help=text)
+        p_scan.add_argument("--model", help="preset name (see `clusterxy presets`)")
+        p_scan.add_argument("--model-file", help="path to a JSON model definition")
+        p_scan.add_argument("--r", type=float, default=1.0, help="anisotropy (XY-family presets)")
+        p_scan.add_argument("--h", type=float, default=0.0, help="transverse field")
+        p_scan.add_argument("--g", type=float, default=0.0, help="GHZ-cluster parameter")
+        p_scan.add_argument("--lambda", type=float, default=0.0, help="AFM coupling")
+        p_scan.add_argument("--n", type=int, default=0, help="X-block mediator count (xny)")
+        p_scan.add_argument("--m", type=int, default=None, help="Y-block mediator count (xny; defaults to n)")
+        p_scan.add_argument("--halfway", action="store_true", help="use half-ring interaction spans")
+        p_scan.add_argument("--sweep", required=True, help="param:start:stop:step")
+        p_scan.add_argument("--out", default=None, help="output path (default: stdout)")
+        p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
+    # thermo evaluates the model at its nominal size
+    for name in ("spectrum", "gap-scan", "ent-scan"):
+        scans[name].add_argument("--sites", default=None, help="comma-separated system sizes")
+    scans["spectrum"].add_argument("--levels", type=int, default=2, help="levels per sector")
+    scans["ent-scan"].add_argument(
         "--quantities",
         default="ent_site",
         help="comma list from ent_site,ent_block,ent_af,gap,derivative",
     )
-
-    p_thermo = sub.add_parser("thermo", help="thermodynamic-limit block density")
-    _add_model_args(p_thermo)
-    p_thermo.add_argument("--sweep", required=True, help="param:start:stop:step")
 
     p_check = sub.add_parser("check", help="oracle-equivalence suite")
     p_check.add_argument("--sites", type=int, default=8)
@@ -406,75 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scan_request(args, source: ModelSource, quantities=(), extras=None) -> ScanRequest:
-    sweep = parse_sweep(args.sweep)
-    if args.sites is not None:
-        sites = _parse_sites(args.sites)
-    elif source.default_sites() is not None:
-        sites = (source.default_sites(),)
-    else:
-        sites = (8,)
-    source.check_sweep(sweep[0])
-    return ScanRequest(
-        command=args.command,
-        model=source.describe(),
-        sites=sites,
-        sweep=sweep,
-        quantities=tuple(quantities),
-        levels=getattr(args, "levels", 2),
-        fmt=args.format,
-        output=args.out,
-        extras=extras or {},
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "presets":
             return cmd_presets()
         if args.command == "check":
-            presets = args.presets.split(",") if args.presets else None
-            request = ScanRequest(
-                command="check",
-                model={"presets": presets or sorted(CHECK_PRESETS)},
-                sites=(args.sites,),
-                sweep=None,
-                fmt=args.format,
-                output=args.out,
-                extras={"points": args.points},
-            )
-            return cmd_check(request, args.sites, args.points, presets, args.corrupt_theta_sign)
-
-        source = ModelSource(args)
-        if args.command == "spectrum":
-            if args.levels < 1:
-                raise ValueError("--levels must be >= 1")
-            request = _scan_request(args, source)
-            columns, rows = cmd_spectrum(source, request)
-        elif args.command == "gap-scan":
-            request = _scan_request(args, source)
-            columns, rows = cmd_gap_scan(source, request)
-        elif args.command == "ent-scan":
-            quantities = tuple(q for q in args.quantities.split(",") if q)
-            allowed = set(ENT_KINDS) | {"gap", "derivative"}
-            unknown = set(quantities) - allowed
-            if unknown:
-                raise ValueError(f"unknown quantities {sorted(unknown)}; allowed: {sorted(allowed)}")
-            if not any(q in ENT_KINDS for q in quantities):
-                raise ValueError("ent-scan needs at least one of ent_site, ent_block, ent_af")
-            request = _scan_request(args, source, quantities=quantities)
-            if any(n % 2 for n in request.sites):
-                raise ValueError("entanglement scans require even system sizes")
-            columns, rows = cmd_ent_scan(source, request)
-        elif args.command == "thermo":
-            request = _scan_request(args, source)
-            if len(request.sites) != 1:
-                raise ValueError("thermo takes a single --sites value")
-            columns, rows = cmd_thermo(source, request)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
-        write_output(request, columns, rows)
+            return cmd_check(args)
+        scan = Scan(args)
+        _, verb = SCAN_VERBS[args.command]
+        columns, rows = verb(args, scan)
+        write_output(scan.echo, args.out, columns, rows)
         return EXIT_OK
     except QuadratureError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +57,8 @@ def test_parse_sweep_rejects_non_finite():
 
 def test_ent_scan_rejects_partial_step_sweep_before_solving(monkeypatch, capsys):
     # a range that is not a whole number of steps exits 2 before any point
-    # is solved, with or without the derivative
+    # is solved, with or without the derivative; so does a quantity listed
+    # twice, which used to print its columns twice and solve it twice
     built = []
 
     class Counting(cli.EvenVacuumAnalysis):
@@ -70,16 +73,20 @@ def test_ent_scan_rejects_partial_step_sweep_before_solving(monkeypatch, capsys)
             code, out, err = run_cli(base + ["--sweep", sweep, "--quantities", quantities], capsys)
             assert code == 2
             assert "whole number of steps" in err and out == ""
+    code, out, err = run_cli(
+        base + ["--sweep", "h:0.5:1:0.5", "--quantities", "ent_site,ent_site,derivative"], capsys
+    )
+    assert code == 2
+    assert "more than once" in err and out == ""
     assert built == []
 
 
-def test_thermo_rejects_several_sizes(capsys):
-    code, out, err = run_cli(
-        ["thermo", "--model", "xy", "--r", "1", "--sweep", "h:1.5:2:0.5", "--sites", "8,10"],
-        capsys,
-    )
-    assert code == 2
-    assert "single --sites" in err and out == ""
+def test_thermo_rejects_sites(capsys):
+    # the density does not depend on a system size, so thermo takes none
+    with pytest.raises(SystemExit) as exc:
+        main(["thermo", "--model", "xy", "--r", "1", "--sweep", "h:1.5:2:0.5", "--sites", "8"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_presets_listing(capsys):
@@ -156,17 +163,23 @@ def test_model_file_equivalent_to_preset(tmp_path, capsys):
     spec = cx.preset_xny(1, 0.5, 0.0, 8)
     path = tmp_path / "model.json"
     cx.save_model(spec, path)
-    code_file, out_file, _ = run_cli(
-        ["gap-scan", "--model-file", str(path), "--sweep", "h:0:1:0.5"], capsys
-    )
-    code_preset, out_preset, _ = run_cli(
-        ["gap-scan", "--model", "xzy", "--r", "0.5", "--sweep", "h:0:1:0.5", "--sites", "8"],
-        capsys,
-    )
-    assert code_file == code_preset == 0
-    _, rows_file = parse_csv(out_file)
-    _, rows_preset = parse_csv(out_preset)
-    assert [r[:3] for r in rows_file] == [r[:3] for r in rows_preset]
+    for sweep in ("h:0:1:0.5", "field:0:1:0.5"):
+        code_file, out_file, _ = run_cli(
+            ["gap-scan", "--model-file", str(path), "--sweep", sweep], capsys
+        )
+        code_preset, out_preset, _ = run_cli(
+            ["gap-scan", "--model", "xzy", "--r", "0.5", "--sweep", sweep, "--sites", "8"],
+            capsys,
+        )
+        assert code_file == code_preset == 0
+        _, rows_file = parse_csv(out_file)
+        _, rows_preset = parse_csv(out_preset)
+        assert [r[:3] for r in rows_file] == [r[:3] for r in rows_preset]
+        assert [r[3] for r in rows_file] == [r[3] for r in rows_preset]
+    # the field is the one parameter of a model file
+    code, out, err = run_cli(["gap-scan", "--model-file", str(path), "--sweep", "r:0:1:0.5"], capsys)
+    assert code == 2
+    assert "cannot sweep 'r'" in err and out == ""
 
 
 def test_json_format(capsys):
@@ -184,10 +197,7 @@ def test_json_format(capsys):
 
 
 def test_thermo_verb(capsys):
-    code, out, _ = run_cli(
-        ["thermo", "--model", "xy", "--r", "1", "--sweep", "h:1.5:2:0.5", "--sites", "16"],
-        capsys,
-    )
+    code, out, _ = run_cli(["thermo", "--model", "xy", "--r", "1", "--sweep", "h:1.5:2:0.5"], capsys)
     assert code == 0
     header, rows = parse_csv(out)
     assert header[:2] == ["sweep_value", "thermo_block_density"]
@@ -210,10 +220,9 @@ def test_thermo_rejects_halfway(capsys):
         ["--model", "xny", "--halfway", "--r", "0.5", "--sweep", "h:0:1:0.5"],
     ]
     for argv in cases:
-        for sites in ("8", "12"):
-            code, _, err = run_cli(["thermo", *argv, "--sites", sites], capsys)
-            assert code == 2, argv
-            assert "halfway" in err, argv
+        code, _, err = run_cli(["thermo", *argv], capsys)
+        assert code == 2, argv
+        assert "halfway" in err, argv
 
 
 def test_integer_parameter_sweep(capsys):
@@ -346,3 +355,20 @@ def test_check_runs_at_twelve_sites(capsys):
     rows = json.loads(out)["rows"]
     assert rows
     assert all(row[1] == 12 and row[-1] == "pass" for row in rows)
+
+
+def test_tracer_binds_every_target():
+    # the benchmark's per-layer metrics come from wrapping package functions
+    # by name; a target that is renamed or unbound drops its metrics
+    # silently, so every target must still be bound
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == []
+        assert tracer.missing_layers == set()
+    finally:
+        tracer.uninstall()
