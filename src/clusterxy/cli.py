@@ -40,6 +40,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
 
+#: the preset options and the value each takes when not given
+PARAMETER_DEFAULTS = {"r": 1.0, "h": 0.0, "g": 0.0, "lambda": 0.0, "n": 0, "m": None, "halfway": False}
+
 _ENT_FUNCS = {
     "ent_site": maximize_site,
     "ent_block": maximize_block,
@@ -97,6 +100,7 @@ class Scan:
     def __init__(self, args):
         if (args.model is None) == (args.model_file is None):
             raise ValueError("exactly one of --model or --model-file is required")
+        given = [key for key in PARAMETER_DEFAULTS if vars(args)[key] is not None]
         if args.model_file is not None:
             base = mdl.load_model(args.model_file)
             self.preset = mdl.Preset(
@@ -105,15 +109,20 @@ class Scan:
             self.params = {"h": base.field}
             model = {"file": str(args.model_file), "definition": mdl.model_to_dict(base)}
             nominal = base.sites
+            source, reads = "a model file, whose field is the file's or the sweep's", ()
         elif args.model in mdl.PRESETS:
             self.preset = mdl.PRESETS[args.model]
             # every preset option, named as the parameter it sets
-            self.params = {key: vars(args)[key] for key in ("r", "h", "g", "lambda", "n", "m", "halfway")}
+            self.params = {**PARAMETER_DEFAULTS, **{key: vars(args)[key] for key in given}}
             shown = {key: self.params[key] for key in self.preset.parameters}
             model = {"preset": args.model, "parameters": shown}
             nominal = 8
+            source, reads = f"preset {args.model!r}", self.preset.parameters + self.preset.switches
         else:
             raise ValueError(f"unknown preset {args.model!r}; see `clusterxy presets`")
+        unread = [f"--{key}" for key in given if key not in reads]
+        if unread:
+            raise ValueError(f"{', '.join(unread)} not read by {source}")
 
         param, start, stop, step = parse_sweep(args.sweep)
         sites = getattr(args, "sites", None)
@@ -128,6 +137,8 @@ class Scan:
             raise ValueError(f"cannot sweep {param!r} with --halfway, which sets the spans to sites/2 - 1")
         self.param = param
         self.key = "h" if param == "field" else param
+        if self.key in given:
+            raise ValueError(f"--{self.key} sets the swept parameter {param!r}; drop it")
         self.values = sweep_points(start, stop, step)
         self.echo = {
             "command": args.command,
@@ -339,13 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
         scans[name] = p_scan = sub.add_parser(name, help=text)
         p_scan.add_argument("--model", help="preset name (see `clusterxy presets`)")
         p_scan.add_argument("--model-file", help="path to a JSON model definition")
-        p_scan.add_argument("--r", type=float, default=1.0, help="anisotropy (XY-family presets)")
-        p_scan.add_argument("--h", type=float, default=0.0, help="transverse field")
-        p_scan.add_argument("--g", type=float, default=0.0, help="GHZ-cluster parameter")
-        p_scan.add_argument("--lambda", type=float, default=0.0, help="AFM coupling")
-        p_scan.add_argument("--n", type=int, default=0, help="X-block mediator count (xny)")
-        p_scan.add_argument("--m", type=int, default=None, help="Y-block mediator count (xny; defaults to n)")
-        p_scan.add_argument("--halfway", action="store_true", help="use half-ring interaction spans")
+        p_scan.add_argument("--r", type=float, help="anisotropy (XY-family presets; default 1)")
+        p_scan.add_argument("--h", type=float, help="transverse field (default 0)")
+        p_scan.add_argument("--g", type=float, help="GHZ-cluster parameter (default 0)")
+        p_scan.add_argument("--lambda", type=float, help="AFM coupling (default 0)")
+        p_scan.add_argument("--n", type=int, help="X-block mediator count (xny; default 0)")
+        p_scan.add_argument("--m", type=int, help="Y-block mediator count (xny; defaults to n)")
+        p_scan.add_argument("--halfway", action="store_true", default=None,
+                            help="use half-ring interaction spans")
         p_scan.add_argument("--sweep", required=True, help="param:start:stop:step")
         p_scan.add_argument("--out", default=None, help="output path (default: stdout)")
         p_scan.add_argument("--format", choices=("csv", "json"), default="csv")

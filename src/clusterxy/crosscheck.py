@@ -55,15 +55,6 @@ class CheckRow:
     passed: bool
 
 
-def _random_site_angles(rng: np.random.Generator, count: int) -> np.ndarray:
-    return rng.uniform(0.0, np.pi, size=count)
-
-
-def _random_block_amplitudes(rng: np.random.Generator, count: int) -> np.ndarray:
-    vecs = rng.normal(size=(count, 4))
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-
-
 def check_model(
     name: str,
     spec: mdl.ModelSpec,
@@ -108,7 +99,7 @@ def check_model(
     rng = rng or np.random.default_rng(1234)
     angles = sign * even_vacuum_angles(spec)
     err_site = 0.0
-    for xi in _random_site_angles(rng, OVERLAP_SAMPLES):
+    for xi in rng.uniform(0.0, np.pi, size=OVERLAP_SAMPLES):
         closed = abs(overlap_site(angles, float(xi), spec.sites))
         amp = np.array([np.cos(xi / 2.0), np.sin(xi / 2.0)])
         err_site = max(err_site, abs(closed - direct_overlap(ground, amp)))
@@ -116,7 +107,8 @@ def check_model(
         CheckRow(name, spec.sites, parameter, "overlap_site", err_site, OVERLAP_TOL, err_site <= OVERLAP_TOL)
     )
     err_block = 0.0
-    for amps in _random_block_amplitudes(rng, OVERLAP_SAMPLES):
+    blocks = rng.normal(size=(OVERLAP_SAMPLES, 4))
+    for amps in blocks / np.linalg.norm(blocks, axis=1, keepdims=True):
         closed = abs(overlap_block(angles, amps, spec.sites))
         err_block = max(err_block, abs(closed - direct_overlap(ground, amps)))
     rows.append(

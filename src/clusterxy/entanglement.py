@@ -13,12 +13,14 @@ translation-invariant ansatze, site <= period-2 <= block:
 * one two-site state on every block of two: any unit v.
 
 Maximizing the squared overlap gives the geometric entanglement
-E = -log2(Lambda_max^2) and its per-site density E/N.  The site search is
-a dense xi grid plus golden-section refinement; the period-2 and block
-searches run through one multi-start gradient ascent, ``_ascend``.  The
-thermodynamic-limit per-block density integrates the same log-overlap
-evaluator over the continuous Bogoliubov angle, and maximizes it with the
-block search.
+E = -log2(Lambda_max^2) and its per-site density E/N.  One evaluator,
+``_log_overlaps``, gives the log-overlap with its gradient and Hessian.
+The site search is a dense xi grid plus golden-section refinement; the
+period-2 and block searches run through one ascent, ``_ascend``: a
+trust-region Newton ascent of all starts as one array, then one L-BFGS-B
+polish of the winner.  The thermodynamic-limit per-block density
+integrates the same evaluator over the continuous Bogoliubov angle, and
+maximizes it with the block search.
 
 The three finite-N maximizers accept a model or its ``EvenVacuumAnalysis``;
 passing one analysis to several of them solves the ground state and the
@@ -40,7 +42,7 @@ from .model import ModelSpec
 from .freefermion import bogoliubov_angle, dispersion, even_vacuum_angles, ground_and_gap
 
 _LN2 = math.log(2.0)
-_TINY = 1e-280
+_TINY = 1e-120
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Site-angle optimization: dense-grid resolution and refinement tolerance.
@@ -55,6 +57,11 @@ BLOCK_STARTS = 32
 AF_GRID_POINTS = 48
 AF_GRID_STARTS = 8
 
+#: Batched Newton ascent (``_ascend``): the first and the largest trust
+#: radius, and the iteration cap.
+NEWTON_RADIUS, NEWTON_MAX_RADIUS, NEWTON_MAXITER = 0.5, 1.0, 200
+
+#: The one L-BFGS-B polish from the winning start.
 _LBFGS_OPTIONS = {"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12}
 
 #: Fixed-order quadrature nodes used inside the thermodynamic maximization;
@@ -206,78 +213,135 @@ def _product_vectors(t1, t2) -> np.ndarray:
     return np.einsum("i...,j...->...ij", a, b).reshape(a.shape[1:] + (4,))
 
 
-def _log_overlaps(vecs, m, q, weights) -> np.ndarray:
-    """sum_k w_k log|v.M_k.v| (+ log|q.v|) for every v along the last axis
-    of ``vecs``; a factor below _TINY in magnitude counts as _TINY, the rule
-    ``_forms_value_grad`` applies too."""
-    factors = np.einsum("...ij,kij->...k", np.einsum("...i,...j->...ij", vecs, vecs), m)
-    vals = np.sum(weights * np.log(np.maximum(np.abs(factors), _TINY)), axis=-1)
+def _log_overlaps(v, m, q, weights, order=0):
+    """sum_k w_k log|f_k| (+ log|q.v|), f_k = v.M_k.v, for every v along the
+    last axis of ``v``; a factor below _TINY in magnitude counts as _TINY.
+    With ``order`` 1 or 2 (and ``v`` of shape (S, 4)) returns (value,
+    gradient, Hessian or None): g = 2 sum_k w_k M_k v / f_k (+ q / q.v) and
+    H = 2 sum_k w_k [M_k / f_k - 2 (M_k v)(M_k v)^T / f_k^2] (- q q^T / (q.v)^2)."""
+    rows = v.reshape(-1, 4)
+    f = (rows[:, :, None] * rows[:, None, :]).reshape(-1, 16) @ m.reshape(-1, 16).T
+    f = np.where(np.abs(f) < _TINY, _TINY, f)
+    val = np.log(np.abs(f)) @ weights
     if q is not None:
-        vals = vals + np.log(np.maximum(np.abs(vecs @ q), _TINY))
-    return vals
-
-
-# --- generic sphere maximization over products of quadratic forms ------------
-
-def _forms_value_grad(v, m, q, weights):
-    """log of the weighted product of |u.M_k.u| factors at u = v/|v|, with
-    the gradient mapped back to v; the optional linear factor q.u enters
-    with unit weight.  The objective is scale-invariant, so the gradient is
-    purely tangential."""
-    norm = np.linalg.norm(v)
-    if not np.isfinite(norm) or norm < 1e-150:
-        return -1e100, np.zeros_like(v)
-    u = v / norm
-    mu = m @ u
-    d = np.einsum("ki,i->k", mu, u)
-    safe = np.where(np.abs(d) < _TINY, np.where(d >= 0.0, _TINY, -_TINY), d)
-    val = float(np.sum(weights * np.log(np.abs(safe))))
-    grad_u = 2.0 * (weights[:, None] * mu / safe[:, None]).sum(axis=0)
+        qv = rows @ q
+        qv = np.where(np.abs(qv) < _TINY, _TINY, qv)
+        val = val + np.log(np.abs(qv))
+    if order == 0:
+        return val.reshape(v.shape[:-1])
+    mv = (v @ m.reshape(-1, 4).T).reshape(len(v), -1, 4)
+    c = weights / f
+    grad, hess = 2.0 * (c[:, None, :] @ mv)[:, 0], None
+    if order == 2:
+        hess = 2.0 * (c @ m.reshape(-1, 16)).reshape(-1, 4, 4)
+        hess -= 4.0 * (mv * (c / f)[..., None]).swapaxes(1, 2) @ mv
     if q is not None:
-        qu = float(q @ u)
-        safe_qu = qu if abs(qu) > _TINY else _TINY
-        val += math.log(abs(safe_qu))
-        grad_u = grad_u + q / safe_qu
-    grad_v = (grad_u - float(grad_u @ u) * u) / norm
-    return val, grad_v
+        grad = grad + q / qv[:, None]
+        if order == 2:
+            hess -= np.outer(q, q) / (qv * qv)[:, None, None]
+    return val, grad, hess
 
 
-def _ascend(value_grad, starts, best_val=-np.inf, best_x=None):
-    """Multi-start L-BFGS-B ascent of ``value_grad``, x -> (value, gradient).
-    Returns the best (value, x), which stays (best_val, best_x) unless a
-    start beats it strictly."""
+# --- one batched ascent over products of quadratic forms ----------------------
 
-    def negative(x):
-        val, grad = value_grad(x)
-        return -val, -grad
+def _sphere(m, q, weights):
+    """(derivs, retract) over the amplitude sphere: ``derivs(x, order)``
+    gives, at u = x/|x|, the value, the Riemannian gradient P g / |x| (a
+    polish from an unnormalized x sees the scale-invariant gradient) and, at
+    order 2, the Riemannian Hessian P H P - (u.g) P, with P = I - u u^T."""
 
-    for x0 in starts:
-        res = minimize(negative, x0, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
-        if -res.fun > best_val:
-            best_val, best_x = -res.fun, res.x
-    return best_val, best_x
+    def derivs(x, order):
+        norm = np.linalg.norm(x, axis=1, keepdims=True)
+        u = x / norm
+        val, g, h = _log_overlaps(u, m, q, weights, order)
+        ug = np.sum(u * g, axis=1)[:, None]
+        p = np.eye(4) - u[:, :, None] * u[:, None, :]
+        return val, (g - ug * u) / norm, None if order == 1 else p @ h @ p - ug[..., None] * p
+
+    return derivs, lambda x, step: (x + step) / np.linalg.norm(x + step, axis=1, keepdims=True)
+
+
+def _torus(m, q, weights):
+    """(derivs, retract) of the period-2 objective in t = (t1, t2), the
+    log-overlap at v = a x b with a = (cos t1, sin t1), b = (cos t2, sin t2).
+    With J = [a' x b, a x b'] the gradient is J^T g; the Hessian is J^T H J
+    plus -g.v on the diagonal (a'' = -a, b'' = -b) and g.(a' x b') off it."""
+
+    def derivs(t, order):
+        a, b = (np.stack([np.cos(t[:, i]), np.sin(t[:, i])], axis=1) for i in (0, 1))
+        da, db = a[:, ::-1] * (-1.0, 1.0), b[:, ::-1] * (-1.0, 1.0)
+        v, v_a, v_b, v_ab = (_kron(x, y) for x, y in ((a, b), (da, b), (a, db), (da, db)))
+        val, g, h = _log_overlaps(v, m, q, weights, order)
+        jac = np.stack([v_a, v_b], axis=2)
+        hess = None
+        if order == 2:
+            hess = jac.swapaxes(1, 2) @ h @ jac - np.sum(g * v, axis=1)[:, None, None] * np.eye(2)
+            hess += np.sum(g * v_ab, axis=1)[:, None, None] * (1.0 - np.eye(2))
+        return val, (g[:, None, :] @ jac)[:, 0], hess
+
+    return derivs, lambda t, step: t + step
+
+
+def _kron(x, y):
+    return (x[:, :, None] * y[:, None, :]).reshape(-1, 4)
+
+
+def _ascend(problem, starts, best_val=-np.inf, best_x=None):
+    """Trust-region Newton ascent of ``problem`` = (derivs, retract) from
+    every row of ``starts`` at once, then one L-BFGS-B polish from the best
+    row.  Steps are saddle-free (the gradient over |eigenvalue| of the
+    Hessian, floored at 1e-12 of the largest) and cut to each start's trust
+    radius; a step that lowers the value is refused.  A start retires when
+    its gradient is below 1e-8 max(1, |value|), a kept step gains at most
+    1e-15 relative, or its radius falls below 1e-12.  Returns the best
+    (value, x), which stays (best_val, best_x) unless the ascent beats it
+    strictly."""
+    derivs, retract = problem
+    x = np.array(starts, dtype=float)
+    val, grad, hess = derivs(x, 2)
+    radius = np.full(len(x), NEWTON_RADIUS)
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(NEWTON_MAXITER):
+        active &= np.linalg.norm(grad, axis=1) > 1e-8 * np.maximum(1.0, np.abs(val))
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        lam, vec = np.linalg.eigh(hess[rows])
+        mag = np.abs(lam)
+        mag = np.maximum(mag, 1e-12 * mag.max(axis=1, keepdims=True) + _TINY)
+        steps = (vec @ ((grad[rows, None, :] @ vec) / mag[:, None, :]).swapaxes(1, 2))[..., 0]
+        lengths = np.linalg.norm(steps, axis=1)
+        cut = np.minimum(1.0, radius[rows] / np.maximum(lengths, _TINY))
+        trial = retract(x[rows], steps * cut[:, None])
+        t_val, t_grad, t_hess = derivs(trial, 2)
+        gain = t_val - val[rows]
+        kept = gain >= 0.0
+        up = rows[kept]
+        x[up], val[up], grad[up], hess[up] = trial[kept], t_val[kept], t_grad[kept], t_hess[kept]
+        grown = np.where(cut < 1.0, np.minimum(2.0 * radius[rows], NEWTON_MAX_RADIUS), radius[rows])
+        radius[rows] = np.where(kept, grown, 0.25 * lengths * cut)
+        active[rows] = ~(kept & (gain <= 1e-15 * np.maximum(1.0, np.abs(val[rows]))))
+        active[rows] &= radius[rows] >= 1e-12
+
+    best = int(np.argmax(val))
+    res = minimize(lambda z: tuple(-y[0] for y in derivs(z[None], 1)[:2]), x[best], jac=True,
+                   method="L-BFGS-B", options=_LBFGS_OPTIONS)
+    value, point = (-res.fun, res.x) if -res.fun > val[best] else (val[best], x[best])
+    return (float(value), point) if value > best_val else (best_val, best_x)
 
 
 def _maximize_on_sphere(m, q, weights, starts):
     """Ascent of the log-product objective over the amplitude sphere from
-    each start; returns (best log value, best unit vector)."""
-
-    def clamped(x):
-        factors = np.einsum("kij,i,j->k", m, x, x)
-        if np.any(np.abs(factors) < 1e-100):
-            return True
-        return q is not None and abs(float(q @ x)) < 1e-100
-
-    unit_starts = []
-    for x0 in starts:
-        x0 = np.asarray(x0, dtype=float)
-        x0 = x0 / np.linalg.norm(x0)
-        if clamped(x0):
-            # a vanishing factor kills the clamped gradient; nudge off it
-            x0 = x0 + 0.05
-            x0 = x0 / np.linalg.norm(x0)
-        unit_starts.append(x0)
-    best_val, best_v = _ascend(lambda v: _forms_value_grad(v, m, q, weights), unit_starts)
+    the starts; returns (best log value, best unit vector)."""
+    x = np.array(starts, dtype=float)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    # a vanishing factor kills the clamped gradient; nudge off it
+    clamped = np.any(np.abs(np.einsum("kij,si,sj->sk", m, x, x)) < 1e-100, axis=1)
+    if q is not None:
+        clamped |= np.abs(x @ q) < 1e-100
+    x[clamped] += 0.05
+    x[clamped] /= np.linalg.norm(x[clamped], axis=1, keepdims=True)
+    best_val, best_v = _ascend(_sphere(m, q, weights), x)
     return best_val, _canonical_sign(best_v / np.linalg.norm(best_v))
 
 
@@ -330,20 +394,6 @@ def _af_grid_starts(m, q, weights) -> list[np.ndarray]:
     vals = _log_overlaps(_product_vectors(tt1, tt2), m, q, weights).ravel()
     order = np.argsort(vals)[::-1][:AF_GRID_STARTS]
     return [np.array([tt1.ravel()[i], tt2.ravel()[i]]) for i in order]
-
-
-def _af_value_grad(t, m, q, weights):
-    """The period-2 objective at t = (t1, t2), the log-overlap at the block
-    v = a x b with a = (cos t1, sin t1) and b = (cos t2, sin t2), and its
-    gradient in t.  With G the 2x2 reshape of the gradient in v, the chain
-    rule through the tensor product gives d/da = G b and d/db = G^T a."""
-    a = np.array([math.cos(t[0]), math.sin(t[0])])
-    b = np.array([math.cos(t[1]), math.sin(t[1])])
-    val, grad_v = _forms_value_grad(_product_vectors(t[0], t[1]), m, q, weights)
-    g = grad_v.reshape(2, 2)
-    grad_a, grad_b = g @ b, a @ g
-    # da/dt1 = (-sin t1, cos t1) = (-a[1], a[0]), and likewise for b
-    return val, np.array([a[0] * grad_a[1] - a[1] * grad_a[0], b[0] * grad_b[1] - b[1] * grad_b[0]])
 
 
 # --- one analysis per model ---------------------------------------------------
@@ -408,7 +458,7 @@ class EvenVacuumAnalysis:
         """(log Lambda, (t1, t2)) of the period-2 family, ascended from the
         grid starts only."""
         m, q, weights = self.forms
-        return _ascend(lambda t: _af_value_grad(t, m, q, weights), _af_grid_starts(m, q, weights))
+        return _ascend(_torus(m, q, weights), _af_grid_starts(m, q, weights))
 
     def result(self, log_lambda: float, optimum, mode: str) -> EntanglementResult:
         eg_total = _unsigned_zero(-2.0 * log_lambda / _LN2)
@@ -464,10 +514,7 @@ def maximize_site_af(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult
     analysis = _analysis(spec)
     m, q, weights = analysis.forms
     xi = analysis.site_optimum[0]
-    log_lambda, t = _ascend(
-        lambda x: _af_value_grad(x, m, q, weights), [np.array([xi / 2.0, xi / 2.0])],
-        *analysis.af_optimum,
-    )
+    log_lambda, t = _ascend(_torus(m, q, weights), [[xi / 2.0, xi / 2.0]], *analysis.af_optimum)
     v = _canonical_sign(_product_vectors(*t))
     return analysis.result(log_lambda, BlockAnsatz(*(float(x) for x in v)), "per_site_af")
 
@@ -512,7 +559,7 @@ def thermo_block_density(spec: ModelSpec) -> float:
     log_integral, v = _maximize_on_sphere(forms(mu), None, weights, _block_starts([]))
 
     value, abserr = quad(
-        lambda x: float(_log_overlaps(v, forms(np.array([x])), None, 1.0)),
+        lambda x: float(_log_overlaps(v, forms(np.array([x])), None, np.ones(1))),
         0.0, 0.5 * math.pi, epsabs=THERMO_QUAD_TOL, epsrel=0.0, limit=400, full_output=True,
     )[:2]
     if abserr > 100.0 * max(THERMO_QUAD_TOL, abs(value) * 1e-12):

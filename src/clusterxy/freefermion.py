@@ -192,7 +192,11 @@ def _sector_states_from_eps(
     need_parity = int(int(occ0.sum()) % 2 != (parity == "odd"))
 
     costs = np.abs(epsilon)
-    order = np.argsort(costs, kind="stable")[: count + 1]
+    # the stable cost order of the flips at or below the (count + 1)-th
+    # smallest cost, ties included, begins with the count + 1 cheapest
+    kth = min(count, n - 1)
+    cheap = np.flatnonzero(costs <= np.partition(costs, kth)[kth])
+    order = cheap[np.argsort(costs[cheap], kind="stable")][: count + 1]
     c = costs[order]
 
     out: list[tuple[float, np.ndarray]] = []

@@ -187,12 +187,14 @@ def _build_xny(params: dict, sites: int) -> ModelSpec:
 
 @dataclass(frozen=True)
 class Preset:
-    """A named model family: the parameters it reads, a one-line
-    description, and its builder(parameters, sites)."""
+    """A named model family: the parameters it lists, a one-line
+    description, its builder(parameters, sites), and the unlisted switches
+    the builder also reads."""
 
     parameters: tuple[str, ...]
     description: str
     build: Callable[[dict, int], ModelSpec]
+    switches: tuple[str, ...] = ()
 
 
 #: The preset families by name, in listing order.
@@ -209,7 +211,9 @@ PRESETS: dict[str, Preset] = {
         ("r", "h"), "XY chain with one mediating Z per interaction",
         lambda p, n: preset_xny(1, p["r"], p["h"], n),
     ),
-    "xny": Preset(("n", "m", "r", "h"), "XY chain with n (and m) mediating Z's", _build_xny),
+    "xny": Preset(
+        ("n", "m", "r", "h"), "XY chain with n (and m) mediating Z's", _build_xny, ("halfway",)
+    ),
     "halfway-xy": Preset(
         ("r", "h"), "XY chain with interactions spanning half the ring",
         lambda p, n: preset_halfway_xy(p["r"], p["h"], n),

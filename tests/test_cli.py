@@ -81,6 +81,33 @@ def test_ent_scan_rejects_partial_step_sweep_before_solving(monkeypatch, capsys)
     assert built == []
 
 
+def test_unread_or_swept_options_exit_2_before_solving(monkeypatch, tmp_path, capsys):
+    # an option the model never reads, or one that sets the swept parameter,
+    # used to be dropped without a word while the echo showed its value
+    built = []
+    monkeypatch.setattr(cli.Scan, "model", lambda self, sites, value: built.append(value))
+    path = tmp_path / "model.json"
+    cx.save_model(cx.preset_xny(1, 0.5, 0.3, 8), path)
+    cases = [
+        ("--g", ["gap-scan", "--model", "xzy", "--r", "0.5", "--g", "0.7", "--h", "0.3",
+                 "--sites", "8", "--sweep", "r:0:1:0.5"]),
+        ("--h", ["gap-scan", "--model", "xzy", "--r", "0.5", "--h", "0.3", "--sites", "8",
+                 "--sweep", "h:0:1:0.5"]),
+        ("--r", ["ent-scan", "--model", "xzy", "--r", "0.5", "--sites", "8",
+                 "--sweep", "r:0:1:0.5"]),
+        ("--lambda", ["thermo", "--model", "xy", "--lambda", "1", "--sweep", "h:1.5:2:0.5"]),
+        ("--halfway", ["spectrum", "--model", "spt-afm-halfway", "--halfway", "--sites", "8",
+                       "--sweep", "lambda:0:1:0.5"]),
+        ("--m", ["gap-scan", "--model", "xny", "--m", "1", "--sites", "8", "--sweep", "m:0:2:1"]),
+        ("--h", ["gap-scan", "--model-file", str(path), "--h", "0.5", "--sweep", "h:0:1:0.5"]),
+    ]
+    for option, argv in cases:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert option in err and out == "", argv
+    assert built == []
+
+
 def test_thermo_rejects_sites(capsys):
     # the density does not depend on a system size, so thermo takes none
     with pytest.raises(SystemExit) as exc:
@@ -184,7 +211,7 @@ def test_model_file_equivalent_to_preset(tmp_path, capsys):
 
 def test_json_format(capsys):
     code, out, _ = run_cli(
-        ["gap-scan", "--model", "free", "--h", "1", "--sweep", "h:0.5:1:0.5",
+        ["gap-scan", "--model", "free", "--sweep", "h:0.5:1:0.5",
          "--sites", "4", "--format", "json"],
         capsys,
     )
@@ -230,7 +257,7 @@ def test_integer_parameter_sweep(capsys):
     code, out, err = run_cli(base + ["--sweep", "n:0:1:0.5"], capsys)
     assert code == 2
     assert "integer" in err and out == ""
-    code, _, err = run_cli(base + ["--m", "1", "--sweep", "m:0:1:0.5"], capsys)
+    code, _, err = run_cli(base + ["--sweep", "m:0:1:0.5"], capsys)
     assert code == 2
     assert "integer" in err
     code, out, _ = run_cli(base + ["--sweep", "n:0:2:1"], capsys)

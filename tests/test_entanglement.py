@@ -2,15 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import clusterxy as cx
+from clusterxy import entanglement
+from clusterxy.crosscheck import CHECK_PRESETS
 from clusterxy.freefermion import dispersion
+from clusterxy.model import PRESETS
 from clusterxy.entanglement import (
     THERMO_NODES,
     EvenVacuumAnalysis,
     EvenVacuumError,
-    _af_value_grad,
+    _af_grid_starts,
     _block_forms,
+    _block_starts,
+    _product_vectors,
+    _sphere,
+    _torus,
     _thermo_rule,
 )
 
@@ -69,18 +77,32 @@ def test_block_reduces_to_site():
     ids=["spt_afm_unpaired_q", "xzy"],
 )
 def test_af_gradient_matches_central_differences(spec):
+    # the ascent's gradients and Hessians against central differences: in t
+    # on the period-2 torus, and along tangent geodesics of the sphere
     m, q, weights = EvenVacuumAnalysis(spec).forms
     assert (q is not None) == (spec.sites % 4 != 0)
     rng = np.random.default_rng(61)
     step = 1e-6
+    derivs, _ = _torus(m, q, weights)
     for t in rng.uniform(0.0, math.pi, size=(3, 2)):
-        _, grad = _af_value_grad(t, m, q, weights)
-        fd = [
-            (_af_value_grad(t + step * e, m, q, weights)[0]
-             - _af_value_grad(t - step * e, m, q, weights)[0]) / (2 * step)
-            for e in np.eye(2)
-        ]
-        assert np.linalg.norm(fd - grad) <= 1e-7 * np.linalg.norm(grad)
+        _, grad, hess = derivs(t[None], 2)
+        for e, g_i, h_i in zip(np.eye(2), grad[0], hess[0]):
+            val, g, _ = derivs(np.array([t + step * e, t - step * e]), 1)
+            assert abs((val[0] - val[1]) / (2 * step) - g_i) <= 1e-7 * np.linalg.norm(grad)
+            assert np.linalg.norm((g[0] - g[1]) / (2 * step) - h_i) <= 1e-6 * np.linalg.norm(hess)
+
+    derivs, _ = _sphere(m, q, weights)
+    s = 1e-4
+    for u, e in rng.normal(size=(3, 2, 4)):
+        u /= np.linalg.norm(u)
+        e -= (e @ u) * u
+        e /= np.linalg.norm(e)
+        val, grad, hess = derivs(u[None], 2)
+        ends = derivs(np.array([math.cos(s) * u + math.sin(s) * e,
+                                math.cos(s) * u - math.sin(s) * e]), 1)[0]
+        assert abs((ends[0] - ends[1]) / (2 * s) - e @ grad[0]) <= 1e-6 * np.linalg.norm(grad)
+        curvature = (ends[0] - 2 * val[0] + ends[1]) / s**2
+        assert abs(curvature - e @ hess[0] @ e) <= 1e-5 * np.linalg.norm(hess)
 
 
 def test_unpaired_factor_only_when_half_is_odd():
@@ -202,6 +224,110 @@ def test_optimizer_never_beaten_by_random_probe():
         if q is not None:
             values *= np.abs(probes @ q)
         assert values.max() <= res.lambda_max + 1e-8
+
+
+# --- the batched ascent against one L-BFGS-B ascent per start -------------------
+
+
+def reference_value_grad(v, m, q, weights):
+    """The log-product at u = v/|v| and its tangential gradient in v, as the
+    per-start L-BFGS-B searches evaluated them."""
+    norm = np.linalg.norm(v)
+    u = v / norm
+    mu = m @ u
+    d = mu @ u
+    d = np.copysign(np.maximum(np.abs(d), 1e-120), d)
+    val = float(weights @ np.log(np.abs(d)))
+    grad = 2.0 * (weights / d) @ mu
+    if q is not None:
+        val += math.log(abs(q @ u))
+        grad = grad + q / (q @ u)
+    return val, (grad - (grad @ u) * u) / norm
+
+
+def reference_af_value_grad(t, m, q, weights):
+    a = np.array([math.cos(t[0]), math.sin(t[0])])
+    b = np.array([math.cos(t[1]), math.sin(t[1])])
+    val, grad = reference_value_grad(np.outer(a, b).ravel(), m, q, weights)
+    ga, gb = grad.reshape(2, 2) @ b, a @ grad.reshape(2, 2)
+    return val, np.array([a[0] * ga[1] - a[1] * ga[0], b[0] * gb[1] - b[1] * gb[0]])
+
+
+def reference_ascent(value_grad, starts, best=(-np.inf, None)):
+    for x0 in starts:
+        res = minimize(lambda x: tuple(-y for y in value_grad(x)), x0, jac=True,
+                       method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12})
+        if -res.fun > best[0]:
+            best = (-res.fun, res.x)
+    return best
+
+
+def reference_maxima(analysis):
+    """log Lambda of the period-2 and block families, from the starts the
+    maximizers use, by one L-BFGS-B ascent per start."""
+    m, q, weights = analysis.forms
+    xi = analysis.site_optimum[0]
+    af = lambda t: reference_af_value_grad(t, m, q, weights)  # noqa: E731
+    grid = reference_ascent(af, _af_grid_starts(m, q, weights))
+    af_log = reference_ascent(af, [np.array([xi / 2, xi / 2])], grid)[0]
+    starts = []
+    for x in _block_starts([_product_vectors(xi / 2, xi / 2), _product_vectors(*grid[1])]):
+        x = x / np.linalg.norm(x)
+        if np.min(np.abs(np.einsum("kij,i,j->k", m, x, x))) < 1e-100 or (
+            q is not None and abs(q @ x) < 1e-100
+        ):
+            x = (x + 0.05) / np.linalg.norm(x + 0.05)
+        starts.append(x)
+    block_log = reference_ascent(lambda v: reference_value_grad(v, m, q, weights), starts)[0]
+    return af_log, block_log
+
+
+def reference_cases():
+    for name, (preset, param, fixed) in CHECK_PRESETS.items():
+        for sites in (8, 16, 64, 66):
+            for value in (-1.3, 0.4, 1.1):
+                yield name, PRESETS[preset].build({**fixed, param: value}, sites)
+    for value in (0.9, 1.0, 1.1):
+        yield "xzy", cx.preset_xny(1, 0.5, value, 256)
+    for value in (-0.5, 0.0, 0.5):
+        yield "ghz-cluster", cx.preset_ghz_cluster(value, 256)
+    for value in (0.75, 0.9):
+        yield "halfway-xy", cx.preset_halfway_xy(0.7, value, 256)
+
+
+def test_batched_ascent_matches_per_start_lbfgsb():
+    checked = 0
+    for name, spec in reference_cases():
+        analysis = EvenVacuumAnalysis(spec)
+        if not analysis.report.even_vacuum:
+            continue
+        af_log, block_log = reference_maxima(analysis)
+        for res, want in ((cx.maximize_site_af(analysis), af_log),
+                          (cx.maximize_block(analysis), block_log)):
+            log_lambda = -0.5 * math.log(2.0) * res.eg_total
+            assert log_lambda == pytest.approx(want, abs=1e-10), (name, spec, res.mode)
+            # the reported optimum attains the reported overlap
+            overlap = abs(cx.overlap_block(analysis.angles, res.optimum, spec.sites))
+            assert overlap == pytest.approx(res.lambda_max, rel=1e-12), (name, spec, res.mode)
+        checked += 1
+    assert checked >= 80
+
+
+def test_one_polish_per_search(monkeypatch):
+    # each period-2 and block search ends with one L-BFGS-B polish of its
+    # winner; one ascent per start made 41 calls here
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "minimize", counting)
+    analysis = EvenVacuumAnalysis(cx.preset_xny(1, 0.5, 0.8, 64))
+    cx.maximize_site(analysis)
+    cx.maximize_site_af(analysis)
+    cx.maximize_block(analysis)
+    assert len(calls) <= 3
 
 
 def test_halfway_ising_density_field_symmetric():
