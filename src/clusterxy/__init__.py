@@ -29,6 +29,7 @@ from .freefermion import (
     sector_states,
 )
 from .entanglement import (
+    AnalysisBatch,
     BlockAnsatz,
     EntanglementResult,
     EvenVacuumAnalysis,

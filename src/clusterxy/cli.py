@@ -25,6 +25,7 @@ import sys
 from . import model as mdl
 from .freefermion import Sector, ground_and_gap, sector_states
 from .entanglement import (
+    AnalysisBatch,
     EvenVacuumAnalysis,
     QuadratureError,
     maximize_block,
@@ -242,17 +243,20 @@ def cmd_ent_scan(args, scan: Scan) -> tuple[list[str], list[list]]:
         columns += [f"d_{kind}" for kind in kinds]
     columns.append("model")
 
+    points = [(value, EvenVacuumAnalysis(spec)) for value, spec in scan.points()]
+    for n in scan.sites:
+        # the even-vacuum points of one size are solved as one batch
+        AnalysisBatch([a for _, a in points if a.sites == n and a.report.even_vacuum])
     rows = []
-    for value, spec in scan.points():
-        analysis = EvenVacuumAnalysis(spec)
+    for value, analysis in points:
         vacuum = analysis.report.even_vacuum
         # points whose ground state is not the even vacuum are flagged
         # and carry no densities
-        row = [value, spec.sites, vacuum, vacuum and analysis.report.degenerate]
+        row = [value, analysis.sites, vacuum, vacuum and analysis.report.degenerate]
         row += [_ENT_FUNCS[kind](analysis).density if vacuum else None for kind in kinds]
         if want_gap:
             row.append(analysis.report.gap)
-        rows.append(row + [_model_json(spec)])
+        rows.append(row + [_model_json(analysis.spec)])
     if want_derivative:
         # one series per size and kind, written before the model cell; a
         # series of fewer than 3 points or with a flagged point has none

@@ -14,18 +14,18 @@ translation-invariant ansatze, site <= period-2 <= block:
 
 Maximizing the squared overlap gives the geometric entanglement
 E = -log2(Lambda_max^2) and its per-site density E/N.  One evaluator,
-``_log_overlaps``, gives the log-overlap with its gradient and Hessian.
-The site search is a dense xi grid plus golden-section refinement; the
-period-2 and block searches run through one ascent, ``_ascend``: a
-trust-region Newton ascent of all starts as one array, then one L-BFGS-B
-polish of the winner.  The thermodynamic-limit per-block density
-integrates the same evaluator over the continuous Bogoliubov angle, and
-maximizes it with the block search.
+``_log_overlaps``, gives the log-overlap with its gradient and Hessian from
+five coefficients per pair form.  The site search is a dense xi grid plus
+golden-section refinement; the period-2 and block searches run through one
+ascent, ``_ascend``: a trust-region Newton ascent of all starts as one
+array, then one L-BFGS-B polish of each point's winner.
 
-The three finite-N maximizers accept a model or its ``EvenVacuumAnalysis``;
-passing one analysis to several of them solves the ground state and the
-vacuum angles once and reuses the site and period-2 optima that seed the
-block search.
+The three finite-N maximizers accept a model or its ``EvenVacuumAnalysis``,
+which solves the ground state and the vacuum angles once.  An
+``AnalysisBatch`` of analyses of one size runs each search once for all of
+them, every point keeping its own starts, retirement, winner and polish; a
+lone analysis is a batch of one, and so is the thermodynamic-limit density,
+which integrates the same evaluator over the continuous Bogoliubov angle.
 """
 
 from __future__ import annotations
@@ -213,136 +213,211 @@ def _product_vectors(t1, t2) -> np.ndarray:
     return np.einsum("i...,j...->...ij", a, b).reshape(a.shape[1:] + (4,))
 
 
-def _log_overlaps(v, m, q, weights, order=0):
-    """sum_k w_k log|f_k| (+ log|q.v|), f_k = v.M_k.v, for every v along the
-    last axis of ``v``; a factor below _TINY in magnitude counts as _TINY.
-    With ``order`` 1 or 2 (and ``v`` of shape (S, 4)) returns (value,
-    gradient, Hessian or None): g = 2 sum_k w_k M_k v / f_k (+ q / q.v) and
-    H = 2 sum_k w_k [M_k / f_k - 2 (M_k v)(M_k v)^T / f_k^2] (- q q^T / (q.v)^2)."""
-    rows = v.reshape(-1, 4)
-    f = (rows[:, :, None] * rows[:, None, :]).reshape(-1, 16) @ m.reshape(-1, 16).T
-    f = np.where(np.abs(f) < _TINY, _TINY, f)
-    val = np.log(np.abs(f)) @ weights
+# --- five coefficients per pair form ------------------------------------------
+#
+# A pair form couples a with d and b with c only, so with p, m = (b +- c)/sqrt2
+# it is five numbers, f_k = C_k . (a^2, ad, d^2, p^2, m^2).  Monomial j is
+# v.S_j.v: (v x v) @ _QUAD gives them, v @ _JACOBIAN, shaped (4, 5), their
+# gradients 2 S_j v, and G @ _CURVATURE, shaped (4, 4), sum_j G_j 2 S_j.
+_MONOMIALS = np.zeros((5, 4, 4))
+_MONOMIALS[0, 0, 0] = _MONOMIALS[2, 3, 3] = 1.0
+_MONOMIALS[1, 0, 3] = _MONOMIALS[1, 3, 0] = 0.5
+_MONOMIALS[3, 1:3, 1:3], _MONOMIALS[4, 1:3, 1:3] = 0.5, [[0.5, -0.5], [-0.5, 0.5]]
+_QUAD, _CURVATURE = _MONOMIALS.reshape(5, 16).T, 2.0 * _MONOMIALS.reshape(5, 16)
+_FROM_ENTRIES = np.array([[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 1, 0, 0],
+                          [0, 0, 0, 1, 1], [0, 0, 0, 1, -1]], dtype=float)
+_JACOBIAN = 2.0 * _MONOMIALS.transpose(2, 1, 0).reshape(4, 20)
+#: pairs[..., i] = C_{_PAIR_I[i]} C_{_PAIR_J[i]}; _SYMMETRIC spreads them over 5 x 5
+_PAIR_I, _PAIR_J = np.triu_indices(5)
+_SYMMETRIC = np.zeros((5, 5), dtype=int)
+_SYMMETRIC[_PAIR_I, _PAIR_J] = _SYMMETRIC[_PAIR_J, _PAIR_I] = np.arange(_PAIR_I.size)
+
+
+def _coefficients(m) -> np.ndarray:
+    """C = (m00, 2 m03, m33, m11 + m12, m11 - m12), shape (..., K, 5), of pair
+    forms ``m`` of shape (..., K, 4, 4)."""
+    return m.reshape(m.shape[:-2] + (16,))[..., [0, 3, 15, 5, 6]] @ _FROM_ENTRIES
+
+
+def _factors(v, coef) -> np.ndarray:
+    """f_k at every v: (..., S, 4) against C (..., K, 5) gives (..., S, K)."""
+    outer = (v[..., :, None] * v[..., None, :]).reshape(v.shape[:-1] + (16,))
+    return (outer @ _QUAD) @ np.swapaxes(coef, -1, -2)
+
+
+def _unpaired(v, q) -> np.ndarray:
+    """q.v = q_a a + q_d d, elementwise: a matrix product would round
+    differently with the memory layout of ``v``."""
+    return v[..., 0] * q[..., :1] + v[..., 3] * q[..., 3:]
+
+
+def _log_overlaps(v, coef, q, weights, order=0, pairs=None):
+    """sum_k w_k log|f_k| (+ log|q.v|) at every v = (a, b, c, d) along the
+    last axis; a factor below _TINY in magnitude counts as _TINY.  The
+    leading axes of ``coef`` (and ``q``) are batch axes of ``v``'s leading
+    axes, so each point of a batch is its own matrix product.
+
+    With ``order`` 1 or 2 returns (value, gradient, Hessian or None): with
+    c = w/f and B the Jacobian of the monomials, the gradient is B (c @ C)
+    and the Hessian sum_j (c @ C)_j 2 S_j, a 2x2 block on (a, d) and a
+    diagonal one on (p, m), minus B Q B^T, Q = c/f @ C_i C_j (``pairs``)."""
+    f = _factors(v, coef)
+    mag = np.abs(f)
+    if order:
+        f = np.where(mag < _TINY, _TINY, f)
+    val = np.log(np.maximum(mag, _TINY, out=mag), out=mag) @ weights
     if q is not None:
-        qv = rows @ q
+        qv = _unpaired(v, q)
         qv = np.where(np.abs(qv) < _TINY, _TINY, qv)
         val = val + np.log(np.abs(qv))
     if order == 0:
-        return val.reshape(v.shape[:-1])
-    mv = (v @ m.reshape(-1, 4).T).reshape(len(v), -1, 4)
+        return val
     c = weights / f
-    grad, hess = 2.0 * (c[:, None, :] @ mv)[:, 0], None
+    gc = c @ coef
+    jac = (v @ _JACOBIAN).reshape(v.shape + (5,))
+    grad = (jac @ gc[..., :, None])[..., 0]
+    hess = None
     if order == 2:
-        hess = 2.0 * (c @ m.reshape(-1, 16)).reshape(-1, 4, 4)
-        hess -= 4.0 * (mv * (c / f)[..., None]).swapaxes(1, 2) @ mv
+        hess = (gc @ _CURVATURE).reshape(v.shape + (4,))
+        hess -= jac @ ((c / f) @ pairs)[..., _SYMMETRIC] @ np.swapaxes(jac, -1, -2)
     if q is not None:
-        grad = grad + q / qv[:, None]
+        r = q[..., None, :] / qv[..., None]
+        grad += r
         if order == 2:
-            hess -= np.outer(q, q) / (qv * qv)[:, None, None]
+            hess -= r[..., :, None] * r[..., None, :]
     return val, grad, hess
 
 
 # --- one batched ascent over products of quadratic forms ----------------------
+
+def _evaluator(m, q, weights):
+    """``_log_overlaps`` on forms ``m`` (P, K, 4, 4), or (K, 4, 4) for one
+    point: evaluate(v, order, points) takes v (len(points), S, 4)."""
+    coef = _coefficients(m)
+    pairs = coef[..., _PAIR_I] * coef[..., _PAIR_J]
+
+    def evaluate(v, order, points):
+        return _log_overlaps(v, coef[points], None if q is None else q[points], weights,
+                             order, pairs[points] if order == 2 else None)
+
+    return evaluate
+
 
 def _sphere(m, q, weights):
     """(derivs, retract) over the amplitude sphere: ``derivs(x, order)``
     gives, at u = x/|x|, the value, the Riemannian gradient P g / |x| (a
     polish from an unnormalized x sees the scale-invariant gradient) and, at
     order 2, the Riemannian Hessian P H P - (u.g) P, with P = I - u u^T."""
+    evaluate = _evaluator(m, q, weights)
 
-    def derivs(x, order):
-        norm = np.linalg.norm(x, axis=1, keepdims=True)
+    def derivs(x, order, points=slice(None)):
+        norm = np.linalg.norm(x, axis=-1, keepdims=True)
         u = x / norm
-        val, g, h = _log_overlaps(u, m, q, weights, order)
-        ug = np.sum(u * g, axis=1)[:, None]
-        p = np.eye(4) - u[:, :, None] * u[:, None, :]
-        return val, (g - ug * u) / norm, None if order == 1 else p @ h @ p - ug[..., None] * p
+        val, g, h = evaluate(u, order, points)
+        ug = np.sum(u * g, axis=-1)[..., None]
+        if order == 1:
+            return val, (g - ug * u) / norm, None
+        p = np.eye(4) - u[..., :, None] * u[..., None, :]
+        return val, (g - ug * u) / norm, p @ h @ p - ug[..., None] * p
 
-    return derivs, lambda x, step: (x + step) / np.linalg.norm(x + step, axis=1, keepdims=True)
+    return derivs, lambda x, step: (x + step) / np.linalg.norm(x + step, axis=-1, keepdims=True)
+
+
+#: with v = a x b, a = (cos t1, sin t1), b = (cos t2, sin t2): v @ _TANGENTS,
+#: shaped (2, 4), is (a' x b, a x b'), and v @ _MIXED is a' x b'
+_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+_TANGENTS = np.hstack([np.kron(_TURN, np.eye(2)).T, np.kron(np.eye(2), _TURN).T])
+_MIXED = np.kron(_TURN, _TURN).T
 
 
 def _torus(m, q, weights):
     """(derivs, retract) of the period-2 objective in t = (t1, t2), the
-    log-overlap at v = a x b with a = (cos t1, sin t1), b = (cos t2, sin t2).
-    With J = [a' x b, a x b'] the gradient is J^T g; the Hessian is J^T H J
-    plus -g.v on the diagonal (a'' = -a, b'' = -b) and g.(a' x b') off it."""
+    log-overlap at v = a x b.  With J = [a' x b, a x b'] the gradient is
+    J^T g; the Hessian is J^T H J plus -g.v on the diagonal (a'' = -a,
+    b'' = -b) and g.(a' x b') off it."""
+    evaluate = _evaluator(m, q, weights)
 
-    def derivs(t, order):
-        a, b = (np.stack([np.cos(t[:, i]), np.sin(t[:, i])], axis=1) for i in (0, 1))
-        da, db = a[:, ::-1] * (-1.0, 1.0), b[:, ::-1] * (-1.0, 1.0)
-        v, v_a, v_b, v_ab = (_kron(x, y) for x, y in ((a, b), (da, b), (a, db), (da, db)))
-        val, g, h = _log_overlaps(v, m, q, weights, order)
-        jac = np.stack([v_a, v_b], axis=2)
+    def derivs(t, order, points=slice(None)):
+        v = _product_vectors(t[..., 0], t[..., 1])
+        val, g, h = evaluate(v, order, points)
+        tangents = (v @ _TANGENTS).reshape(v.shape[:-1] + (2, 4))
         hess = None
         if order == 2:
-            hess = jac.swapaxes(1, 2) @ h @ jac - np.sum(g * v, axis=1)[:, None, None] * np.eye(2)
-            hess += np.sum(g * v_ab, axis=1)[:, None, None] * (1.0 - np.eye(2))
-        return val, (g[:, None, :] @ jac)[:, 0], hess
+            hess = tangents @ h @ np.swapaxes(tangents, -1, -2)
+            hess -= np.sum(g * v, axis=-1)[..., None, None] * np.eye(2)
+            hess += np.sum(g * (v @ _MIXED), axis=-1)[..., None, None] * (1.0 - np.eye(2))
+        return val, (tangents @ g[..., :, None])[..., 0], hess
 
     return derivs, lambda t, step: t + step
 
 
-def _kron(x, y):
-    return (x[:, :, None] * y[:, None, :]).reshape(-1, 4)
-
-
-def _ascend(problem, starts, best_val=-np.inf, best_x=None):
+def _ascend(problem, starts, best_val=None, best_x=None):
     """Trust-region Newton ascent of ``problem`` = (derivs, retract) from
-    every row of ``starts`` at once, then one L-BFGS-B polish from the best
-    row.  Steps are saddle-free (the gradient over |eigenvalue| of the
-    Hessian, floored at 1e-12 of the largest) and cut to each start's trust
-    radius; a step that lowers the value is refused.  A start retires when
-    its gradient is below 1e-8 max(1, |value|), a kept step gains at most
-    1e-15 relative, or its radius falls below 1e-12.  Returns the best
-    (value, x), which stays (best_val, best_x) unless the ascent beats it
-    strictly."""
+    ``starts`` (P, S, dim), S starts for each of P points, as one array, then
+    one L-BFGS-B polish of each point's best row.  Steps are saddle-free (the
+    gradient over |eigenvalue| of the Hessian, floored at 1e-12 of the
+    largest), cut to each start's trust radius, and refused if they lower the
+    value.  A start retires when its gradient is below 1e-8 max(1, |value|),
+    a kept step gains at most 1e-15 relative, or its radius falls below
+    1e-12.  Every row of a point with an active start is evaluated, so no
+    point's arithmetic depends on the others.  Returns the best (values (P,),
+    x (P, dim)), each the incumbent (best_val, best_x) unless beaten."""
     derivs, retract = problem
     x = np.array(starts, dtype=float)
     val, grad, hess = derivs(x, 2)
-    radius = np.full(len(x), NEWTON_RADIUS)
-    active = np.ones(len(x), dtype=bool)
+    radius = np.full(val.shape, NEWTON_RADIUS)
+    active = np.ones(val.shape, dtype=bool)
     for _ in range(NEWTON_MAXITER):
-        active &= np.linalg.norm(grad, axis=1) > 1e-8 * np.maximum(1.0, np.abs(val))
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
+        active &= np.linalg.norm(grad, axis=-1) > 1e-8 * np.maximum(1.0, np.abs(val))
+        live = np.flatnonzero(active.any(axis=1))
+        if live.size == 0:
             break
+        rows = np.nonzero(active)
+        at = np.searchsorted(live, rows[0]), rows[1]
         lam, vec = np.linalg.eigh(hess[rows])
         mag = np.abs(lam)
         mag = np.maximum(mag, 1e-12 * mag.max(axis=1, keepdims=True) + _TINY)
-        steps = (vec @ ((grad[rows, None, :] @ vec) / mag[:, None, :]).swapaxes(1, 2))[..., 0]
+        steps = (vec @ ((grad[rows][:, None, :] @ vec) / mag[:, None, :]).swapaxes(1, 2))[..., 0]
         lengths = np.linalg.norm(steps, axis=1)
         cut = np.minimum(1.0, radius[rows] / np.maximum(lengths, _TINY))
-        trial = retract(x[rows], steps * cut[:, None])
-        t_val, t_grad, t_hess = derivs(trial, 2)
+        trial = x[live]
+        trial[at] = retract(x[rows], steps * cut[:, None])
+        t_val, t_grad, t_hess = (y[at] for y in derivs(trial, 2, live))
         gain = t_val - val[rows]
         kept = gain >= 0.0
-        up = rows[kept]
-        x[up], val[up], grad[up], hess[up] = trial[kept], t_val[kept], t_grad[kept], t_hess[kept]
+        up = rows[0][kept], rows[1][kept]
+        x[up], val[up], grad[up], hess[up] = trial[at][kept], t_val[kept], t_grad[kept], t_hess[kept]
         grown = np.where(cut < 1.0, np.minimum(2.0 * radius[rows], NEWTON_MAX_RADIUS), radius[rows])
         radius[rows] = np.where(kept, grown, 0.25 * lengths * cut)
         active[rows] = ~(kept & (gain <= 1e-15 * np.maximum(1.0, np.abs(val[rows]))))
         active[rows] &= radius[rows] >= 1e-12
 
-    best = int(np.argmax(val))
-    res = minimize(lambda z: tuple(-y[0] for y in derivs(z[None], 1)[:2]), x[best], jac=True,
-                   method="L-BFGS-B", options=_LBFGS_OPTIONS)
-    value, point = (-res.fun, res.x) if -res.fun > val[best] else (val[best], x[best])
-    return (float(value), point) if value > best_val else (best_val, best_x)
+    best_val = np.full(len(x), -np.inf) if best_val is None else np.array(best_val, dtype=float)
+    best_x = np.zeros(x[:, 0].shape) if best_x is None else np.array(best_x, dtype=float)
+    for point, row in enumerate(np.argmax(val, axis=1)):
+        one = slice(point, point + 1)
+        res = minimize(lambda z: tuple(-y[0, 0] for y in derivs(z[None, None], 1, one)[:2]),
+                       x[point, row], jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
+        value, end = (-res.fun, res.x) if -res.fun > val[point, row] else (val[point, row], x[point, row])
+        if value > best_val[point]:
+            best_val[point], best_x[point] = value, end
+    return best_val, best_x
 
 
 def _maximize_on_sphere(m, q, weights, starts):
-    """Ascent of the log-product objective over the amplitude sphere from
-    the starts; returns (best log value, best unit vector)."""
+    """Ascent over the amplitude sphere from the starts (P, S, 4) of each
+    point of forms ``m``; returns the best log values and unit vectors."""
     x = np.array(starts, dtype=float)
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
     # a vanishing factor kills the clamped gradient; nudge off it
-    clamped = np.any(np.abs(np.einsum("kij,si,sj->sk", m, x, x)) < 1e-100, axis=1)
+    clamped = np.any(np.abs(_factors(x, _coefficients(m))) < 1e-100, axis=-1)
     if q is not None:
-        clamped |= np.abs(x @ q) < 1e-100
+        clamped |= np.abs(_unpaired(x, q)) < 1e-100
     x[clamped] += 0.05
-    x[clamped] /= np.linalg.norm(x[clamped], axis=1, keepdims=True)
+    x[clamped] /= np.linalg.norm(x[clamped], axis=-1, keepdims=True)
     best_val, best_v = _ascend(_sphere(m, q, weights), x)
-    return best_val, _canonical_sign(best_v / np.linalg.norm(best_v))
+    best_v /= np.linalg.norm(best_v, axis=-1, keepdims=True)
+    return best_val, np.array([_canonical_sign(v) for v in best_v])
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -370,38 +445,44 @@ def _block_starts(embedded: list[np.ndarray]) -> list[np.ndarray]:
 # --- site-angle and period-2 maximization ---------------------------------------
 
 def _golden_max(fun, lo, hi, tol):
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
+    """Golden-section maxima of ``fun`` on the brackets [lo, hi] of arrays;
+    each bracket narrows on its own until it is below tol."""
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     fc, fd = fun(c), fun(d)
-    while (hi - lo) > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = fun(d)
+    while np.any(hi - lo > tol):
+        wide = hi - lo > tol
+        left, right = wide & (fc >= fd), wide & ~(fc >= fd)
+        hi, lo = np.where(left, d, hi), np.where(right, c, lo)
+        c, fc, d, fd = (np.where(right, d, c), np.where(right, fd, fc),
+                        np.where(left, c, d), np.where(left, fc, fd))
+        probe = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        fp = fun(probe)
+        c, fc, d, fd = (np.where(left, probe, c), np.where(left, fp, fc),
+                        np.where(right, probe, d), np.where(right, fp, fd))
     mid = 0.5 * (lo + hi)
     return mid, fun(mid)
 
 
 def _af_grid_starts(m, q, weights) -> list[np.ndarray]:
-    """The AF_GRID_STARTS best cells of a coarse, vectorized (t1, t2) scan
-    of the period-2 objective, best first."""
+    """The AF_GRID_STARTS best cells of a coarse (t1, t2) scan of one
+    point's period-2 objective, best first.  f(a x b) = f(b x a), so the
+    cells with t1 <= t2 are evaluated and mirrored."""
     grid = np.linspace(0.0, math.pi, AF_GRID_POINTS, endpoint=False)
-    tt1, tt2 = np.meshgrid(grid, grid, indexing="ij")
-    vals = _log_overlaps(_product_vectors(tt1, tt2), m, q, weights).ravel()
-    order = np.argsort(vals)[::-1][:AF_GRID_STARTS]
-    return [np.array([tt1.ravel()[i], tt2.ravel()[i]]) for i in order]
+    upper = np.triu_indices(AF_GRID_POINTS)
+    vals = np.empty((AF_GRID_POINTS, AF_GRID_POINTS))
+    vals[upper] = vals[upper[::-1]] = _log_overlaps(
+        _product_vectors(grid[upper[0]], grid[upper[1]]), _coefficients(m), q, weights)
+    order = np.argsort(vals.ravel())[::-1][:AF_GRID_STARTS]
+    return [np.array([grid[i // AF_GRID_POINTS], grid[i % AF_GRID_POINTS]]) for i in order]
 
 
-# --- one analysis per model ---------------------------------------------------
+# --- one analysis per model, one batch per size -------------------------------
 
 class EvenVacuumAnalysis:
     """What the finite-N maximizers share for one model: the ground report,
-    and, on first use, the even-vacuum angles, the block forms, the site
-    optimum and the period-2 optimum over the grid starts.
+    and, on first use, the even-vacuum angles and the block forms.  Its
+    searches run in its ``AnalysisBatch``, a batch of one unless it joined
+    a larger one.
 
     Construction solves the ground state and raises ValueError for an odd
     number of sites; reading anything built on the vacuum angles raises
@@ -414,6 +495,7 @@ class EvenVacuumAnalysis:
         self.spec = spec
         self.sites = spec.sites
         self.report = ground_and_gap(spec)
+        self.batch, self.slot = None, 0
 
     @cached_property
     def angles(self) -> np.ndarray:
@@ -433,32 +515,16 @@ class EvenVacuumAnalysis:
         m, q = _block_forms(self.angles, self.sites)
         return m, q, np.ones(m.shape[0])
 
-    @cached_property
+    def solved(self, search: str) -> tuple:
+        """This point's entry of each array of its batch's ``search``."""
+        batch = self.batch or AnalysisBatch([self])
+        return tuple(x[self.slot] for x in getattr(batch, search))
+
+    @property
     def site_optimum(self) -> tuple[float, float, float, float]:
         """(xi, log Lambda) after golden-section refinement around the best
         cell of a dense xi grid, followed by (xi, log Lambda) of that cell."""
-        m, q, weights = self.forms
-
-        def logf(xi):
-            return _log_overlaps(_product_vectors(0.5 * xi, 0.5 * xi), m, q, weights)
-
-        grid = np.linspace(0.0, math.pi, SITE_GRID_POINTS)
-        values = logf(grid)
-        best = int(np.argmax(values))
-        xi, log_lambda = _golden_max(
-            lambda x: float(logf(x)),
-            grid[max(best - 1, 0)],
-            grid[min(best + 1, SITE_GRID_POINTS - 1)],
-            SITE_XI_TOL,
-        )
-        return xi, log_lambda, grid[best], float(values[best])
-
-    @cached_property
-    def af_optimum(self) -> tuple[float, np.ndarray]:
-        """(log Lambda, (t1, t2)) of the period-2 family, ascended from the
-        grid starts only."""
-        m, q, weights = self.forms
-        return _ascend(_torus(m, q, weights), _af_grid_starts(m, q, weights))
+        return tuple(float(x) for x in self.solved("site_optima"))
 
     def result(self, log_lambda: float, optimum, mode: str) -> EntanglementResult:
         eg_total = _unsigned_zero(-2.0 * log_lambda / _LN2)
@@ -470,6 +536,65 @@ class EvenVacuumAnalysis:
             mode=mode,
             ground_degenerate=self.report.degenerate,
         )
+
+
+class AnalysisBatch:
+    """Even-vacuum analyses of one size whose searches each advance all
+    points' starts as one array; construction makes each analysis solve in
+    this batch, and no point's results depend on the other points."""
+
+    def __init__(self, analyses):
+        self.analyses = list(analyses)
+        if len({analysis.sites for analysis in self.analyses}) > 1:
+            raise ValueError("a batch holds analyses of one system size")
+        if not all(analysis.report.even_vacuum for analysis in self.analyses):
+            raise EvenVacuumError("a batch holds even-vacuum analyses only")
+        for slot, analysis in enumerate(self.analyses):
+            analysis.batch, analysis.slot = self, slot
+
+    @cached_property
+    def forms(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """The forms stacked: M (P, K, 4, 4), q (P, 4) or None, weights."""
+        m, q, weights = zip(*(analysis.forms for analysis in self.analyses))
+        return np.stack(m), None if q[0] is None else np.stack(q), weights[0]
+
+    @cached_property
+    def site_optima(self) -> tuple[np.ndarray, ...]:
+        """``site_optimum`` of every point: the grid point by point, then one
+        golden section for all."""
+        m, q, weights = self.forms
+        coef = _coefficients(m)
+        grid = np.linspace(0.0, math.pi, SITE_GRID_POINTS)
+        on_grid = _product_vectors(0.5 * grid, 0.5 * grid)
+        values = np.array([_log_overlaps(on_grid, coef[i], None if q is None else q[i], weights)
+                           for i in range(len(coef))])
+        best = np.argmax(values, axis=1)
+        xi, log_lambda = _golden_max(
+            lambda xs: _log_overlaps(_product_vectors(0.5 * xs, 0.5 * xs)[:, None], coef, q, weights)[:, 0],
+            grid[np.maximum(best - 1, 0)],
+            grid[np.minimum(best + 1, SITE_GRID_POINTS - 1)],
+            SITE_XI_TOL,
+        )
+        return xi, log_lambda, grid[best], values[np.arange(len(best)), best]
+
+    @cached_property
+    def af_optima(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log Lambda, (t1, t2)) of the period-2 family from the grid starts."""
+        starts = [_af_grid_starts(*analysis.forms) for analysis in self.analyses]
+        return _ascend(_torus(*self.forms), starts)
+
+    @cached_property
+    def af_results(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid-start optima against one more ascent from the site optimum."""
+        half_xi = 0.5 * self.site_optima[0]
+        return _ascend(_torus(*self.forms), np.stack([half_xi, half_xi], axis=-1)[:, None],
+                       *self.af_optima)
+
+    @cached_property
+    def block_results(self) -> tuple[np.ndarray, np.ndarray]:
+        starts = [_block_starts([_product_vectors(0.5 * xi, 0.5 * xi), _product_vectors(*t)])
+                  for xi, t in zip(self.site_optima[0], self.af_optima[1])]
+        return _maximize_on_sphere(*self.forms, starts)
 
 
 def _unsigned_zero(value: float) -> float:
@@ -489,7 +614,7 @@ def maximize_site(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
     xi, log_lambda, grid_xi, grid_log_lambda = analysis.site_optimum
     if grid_log_lambda > log_lambda:
         xi, log_lambda = grid_xi, grid_log_lambda
-    return analysis.result(log_lambda, SiteAnsatz(float(xi)), "per_site")
+    return analysis.result(log_lambda, SiteAnsatz(xi), "per_site")
 
 
 def maximize_block(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
@@ -498,12 +623,8 @@ def maximize_block(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
     vertices, random points, and the embedded single-site and period-2
     optima."""
     analysis = _analysis(spec)
-    m, q, weights = analysis.forms
-    xi = analysis.site_optimum[0]
-    af_t = analysis.af_optimum[1]
-    starts = _block_starts([_product_vectors(0.5 * xi, 0.5 * xi), _product_vectors(*af_t)])
-    log_lambda, v = _maximize_on_sphere(m, q, weights, starts)
-    return analysis.result(log_lambda, BlockAnsatz(*(float(x) for x in v)), "per_block")
+    log_lambda, v = analysis.solved("block_results")
+    return analysis.result(float(log_lambda), BlockAnsatz(*(float(x) for x in v)), "per_block")
 
 
 def maximize_site_af(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
@@ -512,11 +633,9 @@ def maximize_site_af(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult
     stays faithful for antiferromagnetic order.  The grid-start optimum is
     compared with one more ascent from the embedded site optimum."""
     analysis = _analysis(spec)
-    m, q, weights = analysis.forms
-    xi = analysis.site_optimum[0]
-    log_lambda, t = _ascend(_torus(m, q, weights), [[xi / 2.0, xi / 2.0]], *analysis.af_optimum)
+    log_lambda, t = analysis.solved("af_results")
     v = _canonical_sign(_product_vectors(*t))
-    return analysis.result(log_lambda, BlockAnsatz(*(float(x) for x in v)), "per_site_af")
+    return analysis.result(float(log_lambda), BlockAnsatz(*(float(x) for x in v)), "per_site_af")
 
 
 # --- thermodynamic limit ------------------------------------------------------
@@ -551,15 +670,14 @@ def thermo_block_density(spec: ModelSpec) -> float:
     """
 
     def forms(mu):
-        theta = bogoliubov_angle(*dispersion(spec, mu))
-        theta_reflected = bogoliubov_angle(*dispersion(spec, np.pi - mu))
-        return pair_forms(theta, theta_reflected, mu)
+        theta = bogoliubov_angle(*dispersion(spec, np.concatenate([mu, np.pi - mu])))
+        return pair_forms(theta[:mu.size], theta[mu.size:], mu)
 
     mu, weights = _thermo_rule()
-    log_integral, v = _maximize_on_sphere(forms(mu), None, weights, _block_starts([]))
+    (log_integral,), (v,) = _maximize_on_sphere(forms(mu)[None], None, weights, [_block_starts([])])
 
     value, abserr = quad(
-        lambda x: float(_log_overlaps(v, forms(np.array([x])), None, np.ones(1))),
+        lambda x: float(_log_overlaps(v, _coefficients(forms(np.array([x]))), None, np.ones(1))),
         0.0, 0.5 * math.pi, epsabs=THERMO_QUAD_TOL, epsrel=0.0, limit=400, full_output=True,
     )[:2]
     if abserr > 100.0 * max(THERMO_QUAD_TOL, abs(value) * 1e-12):

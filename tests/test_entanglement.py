@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -5,17 +7,21 @@ import pytest
 from scipy.optimize import minimize
 
 import clusterxy as cx
-from clusterxy import entanglement
+from clusterxy import cli, entanglement
 from clusterxy.crosscheck import CHECK_PRESETS
 from clusterxy.freefermion import dispersion
 from clusterxy.model import PRESETS
 from clusterxy.entanglement import (
+    AF_GRID_POINTS,
     THERMO_NODES,
+    AnalysisBatch,
     EvenVacuumAnalysis,
     EvenVacuumError,
     _af_grid_starts,
     _block_forms,
     _block_starts,
+    _coefficients,
+    _log_overlaps,
     _product_vectors,
     _sphere,
     _torus,
@@ -314,8 +320,8 @@ def test_batched_ascent_matches_per_start_lbfgsb():
 
 
 def test_one_polish_per_search(monkeypatch):
-    # each period-2 and block search ends with one L-BFGS-B polish of its
-    # winner; one ascent per start made 41 calls here
+    # each period-2 and block search ends with one L-BFGS-B polish of each
+    # point's winner; one ascent per start made 41 calls per point here
     calls = []
 
     def counting(*args, **kwargs):
@@ -328,6 +334,115 @@ def test_one_polish_per_search(monkeypatch):
     cx.maximize_site_af(analysis)
     cx.maximize_block(analysis)
     assert len(calls) <= 3
+
+    calls.clear()
+    analyses = [EvenVacuumAnalysis(cx.preset_xny(1, 0.5, h, 64)) for h in (0.8, 0.9, 1.0, 1.1, 1.2)]
+    AnalysisBatch(analyses)
+    for analysis in analyses:
+        cx.maximize_site(analysis)
+        cx.maximize_site_af(analysis)
+        cx.maximize_block(analysis)
+    assert len(calls) <= 3 * len(analyses)
+
+
+def _log_lambdas(analysis):
+    return [-0.5 * math.log(2.0) * f(analysis).eg_total
+            for f in (cx.maximize_site, cx.maximize_site_af, cx.maximize_block)]
+
+
+@pytest.mark.parametrize(
+    "build, values, sites",
+    [
+        (lambda x, n: cx.preset_xny(1, 0.5, x, n), np.linspace(0.9, 1.1, 5), 64),
+        (cx.preset_spt_afm, np.linspace(1.0, 1.3, 7), 256),
+        (cx.preset_ghz_cluster, np.linspace(-0.6, 0.6, 5), 64),
+        (lambda x, n: cx.preset_halfway_xy(0.7, x, n), np.linspace(0.6, 0.8, 9), 64),
+        (cx.preset_spt_afm, np.linspace(0.8, 1.6, 5), 66),
+    ],
+    ids=["xzy", "spt_afm", "ghz", "halfway_jump", "unpaired_q"],
+)
+def test_batch_matches_batch_of_one(build, values, sites):
+    # each point of a size batch keeps its own starts, retirement, winner
+    # and polish, so its log Lambda is the one it has alone, whatever other
+    # points share the batch; points that are not the even vacuum stay out
+    analyses = [EvenVacuumAnalysis(build(float(x), sites)) for x in values]
+    members = [analysis for analysis in analyses if analysis.report.even_vacuum]
+    assert 2 <= len(members)
+    if len(members) < len(analyses):
+        with pytest.raises(EvenVacuumError):
+            AnalysisBatch(analyses)
+    with pytest.raises(ValueError, match="one system size"):
+        AnalysisBatch(members + [EvenVacuumAnalysis(build(float(values[-1]), sites + 2))])
+    AnalysisBatch(members)
+    batched = [_log_lambdas(analysis) for analysis in members]
+    shuffled = [EvenVacuumAnalysis(analysis.spec) for analysis in members[::-2]]
+    AnalysisBatch(shuffled)
+    for analysis, want in zip(shuffled, batched[::-2]):
+        assert _log_lambdas(analysis) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for analysis, got in zip(members, batched):
+        alone = _log_lambdas(EvenVacuumAnalysis(analysis.spec))
+        assert got == pytest.approx(alone, rel=1e-12, abs=1e-12), analysis.spec
+
+
+def test_size_batch_call_counts(monkeypatch):
+    # a 21-point ent-scan at one size solves its points as one batch: one
+    # maximizer call per point, at most 3 polishes per point, and outside the
+    # polishes at most 3x the evaluator calls of one point (one search per
+    # point made 21x); each polish still evaluates its own point
+    counts = {"polish": 0, "eval": 0, "polish_eval": 0}
+    in_polish = []
+
+    def counting_minimize(*args, **kwargs):
+        counts["polish"] += 1
+        in_polish.append(True)
+        try:
+            return minimize(*args, **kwargs)
+        finally:
+            in_polish.pop()
+
+    def counting_eval(*args, **kwargs):
+        counts["polish_eval" if in_polish else "eval"] += 1
+        return _log_overlaps(*args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "minimize", counting_minimize)
+    monkeypatch.setattr(entanglement, "_log_overlaps", counting_eval)
+    analysis = EvenVacuumAnalysis(cx.preset_xny(1, 0.5, 0.95, 64))
+    _log_lambdas(analysis)
+    one_point = dict(counts)
+
+    calls = {kind: 0 for kind in cli._ENT_FUNCS}
+    for kind, func in list(cli._ENT_FUNCS.items()):
+        def wrapped(target, kind=kind, func=func):
+            calls[kind] += 1
+            return func(target)
+        monkeypatch.setitem(cli._ENT_FUNCS, kind, wrapped)
+    for key in counts:
+        counts[key] = 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["ent-scan", "--model", "xzy", "--r", "0.5", "--sites", "64",
+                         "--sweep", "h:0.9:1.1:0.01",
+                         "--quantities", "ent_site,ent_af,ent_block"]) == 0
+    print(f"one point {one_point}, 21 points {counts}")
+    assert calls == {kind: 21 for kind in cli._ENT_FUNCS}
+    assert counts["polish"] <= 3 * 21
+    assert counts["eval"] <= 3 * one_point["eval"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [cx.preset_xny(1, 0.5, 0.9, 64), cx.preset_xny(1, 1.0, 1.1, 1024), cx.preset_spt_afm(1.2, 256),
+     cx.preset_spt_afm(0.7, 66), cx.preset_ghz_cluster(0.3, 64), cx.preset_halfway_xy(0.7, 0.75, 256)],
+    ids=["xzy", "xzy_1024", "spt_afm", "spt_afm_unpaired_q", "ghz", "halfway"],
+)
+def test_af_half_grid_matches_full_grid(spec):
+    # f(a x b) = f(b x a): the grid is evaluated on t1 <= t2 and mirrored
+    m, q, weights = EvenVacuumAnalysis(spec).forms
+    coef = _coefficients(m)
+    grid = np.linspace(0.0, math.pi, AF_GRID_POINTS, endpoint=False)
+    tt1, tt2 = np.meshgrid(grid, grid, indexing="ij")
+    full = _log_overlaps(_product_vectors(tt1, tt2), coef, q, weights).max()
+    best = _log_overlaps(_product_vectors(*_af_grid_starts(m, q, weights)[0]), coef, q, weights)
+    assert best == pytest.approx(full, rel=1e-12, abs=1e-12)
 
 
 def test_halfway_ising_density_field_symmetric():
