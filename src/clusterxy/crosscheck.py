@@ -132,6 +132,7 @@ def run_checks(
     check harness itself.
     """
     names = list(presets) if presets is not None else list(CHECK_PRESETS)
+    sites = list(sites)
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     for n in sites:

@@ -1,6 +1,6 @@
 """Brute-force reference solver: dense exact diagonalization of the two
-fermion-parity blocks of the spin basis, plus direct overlap maximization on
-the exact ground vector.
+fermion-parity blocks of the spin basis, plus a gradient search for the best
+product-state overlap of any state vector, on tensor contractions.
 
 Everything here is deliberately independent of the free-fermion machinery so
 the two can cross-check each other at small system sizes.  Basis convention:
@@ -18,14 +18,11 @@ from scipy.optimize import minimize
 
 from .model import ModelSpec, PauliString, to_pauli_strings
 from .freefermion import Sector, _mode_arrays
-from .entanglement import EntanglementResult
+from .entanglement import EntanglementResult, _unsigned_zero
 
 #: Dense diagonalization is capped here; two 2^13 x 2^13 parity blocks are
 #: the largest worth building at desk scale.
 MAX_DENSE_SITES = 14
-
-#: Brute-force block/af overlap maximization cap (ansatz expansion cost).
-MAX_BRUTE_SITES = 10
 
 
 def _popcount_sign(bits: np.ndarray) -> np.ndarray:
@@ -250,87 +247,70 @@ def direct_overlap(state: np.ndarray, ansatz) -> float:
     return float(abs(np.vdot(phi, state)) / norm**power)
 
 
-def _brute_params_to_amps(kind: str, x: np.ndarray, complex_amplitudes: bool) -> np.ndarray:
-    if kind == "site":
-        amps = x[:2] + 1j * x[2:4] if complex_amplitudes else x[:2].astype(complex)
-    elif kind == "block":
-        amps = x[:4] + 1j * x[4:8] if complex_amplitudes else x[:4].astype(complex)
-    elif kind == "af_site":
-        if complex_amplitudes:
-            left = x[:2] + 1j * x[2:4]
-            right = x[4:6] + 1j * x[6:8]
-        else:
-            left = x[:2].astype(complex)
-            right = x[2:4].astype(complex)
-        amps = np.kron(left, right)
-    else:
-        raise ValueError(f"unknown ansatz kind {kind!r}")
-    return amps
+def _product_contraction(state: np.ndarray, v: np.ndarray) -> tuple[complex, np.ndarray]:
+    """<v^{tensor L}|state> on L legs of width len(v), 2 (site) or 4 (block),
+    and its derivative G in conj(v): the state contracted with conj(v) on
+    every leg but one, summed over the open leg, since a degenerate ground
+    vector need not be translation invariant.  Contracts the leading leg
+    until none is left, carrying the derivative of what remains."""
+    bra = np.conj(v)
+    value, grad = state, np.zeros((len(v), len(state)), dtype=complex)
+    while value.size > 1:
+        value, grad = value.reshape(len(v), -1), grad.reshape(len(v), len(v), -1)
+        value, grad = bra @ value, value + bra @ grad
+    return complex(value[0]), grad[:, 0]
 
 
 def brute_max_overlap(state: np.ndarray, kind: str, complex_amplitudes: bool = True):
-    """Maximize |<product|state>| over an ansatz family by multi-start
-    simplex refinement of random seeds.
+    """Maximize |<product|state>| over an ansatz family: L-BFGS-B from fixed
+    starts ascends log|o|^2 - L sum_parts log|part|^2, scale invariant, with
+    the gradient of the contraction above.  The state's length alone bounds
+    the work; lambda is ``direct_overlap`` at the normalized winner.
 
     kind: 'site' (one state on every site), 'block' (one two-site state on
-    every block), or 'af_site' (a two-site product of two independent
+    every block), or 'af_site' (a two-site product a (x) b of two independent
     one-site states, period-2 translation invariance).  Amplitudes may be
     complex (the default; used to probe whether real optima are globally
     optimal) or restricted to real.
     """
-    n_params = {"site": 2, "block": 4, "af_site": 4}.get(kind)
-    if n_params is None:
+    parts = {"site": (1, 2, "per_site"), "block": (1, 4, "per_block"),
+             "af_site": (2, 2, "per_site_af")}
+    if kind not in parts:
         raise ValueError(f"kind must be 'site', 'block' or 'af_site', got {kind!r}")
-    dim = state.shape[0]
-    n = int(round(np.log2(dim)))
-    if kind in ("block", "af_site") and n > MAX_BRUTE_SITES:
-        raise ValueError(f"brute-force {kind} maximization capped at {MAX_BRUTE_SITES} sites")
+    n = len(state).bit_length() - 1
+    if n < 1 or len(state) != 2**n:
+        raise ValueError("state length is not a power of two")
+    if kind != "site" and n % 2:
+        raise ValueError(f"the {kind} ansatz requires even sites, got {n}")
+    count, width, mode = parts[kind]
+    legs = n if kind == "site" else n // 2
+    shape = (count, 1 + complex_amplitudes, width)  # per part: real, then imaginary amplitudes
 
-    if complex_amplitudes:
-        n_params *= 2
+    def amplitudes(x: np.ndarray) -> np.ndarray:
+        p = x.reshape(shape)
+        return p[:, 0] + 1j * p[:, 1] if complex_amplitudes else p[:, 0].astype(complex)
 
-    def negative_overlap(x: np.ndarray) -> float:
-        amps = _brute_params_to_amps(kind, x, complex_amplitudes)
-        norm = np.linalg.norm(amps)
-        if norm < 1e-12:
-            return 0.0
-        return -direct_overlap(state, amps / norm)
+    def negative_log_overlap(x: np.ndarray) -> tuple[float, np.ndarray]:
+        amps = amplitudes(x)
+        value, grad = _product_contraction(state, reduce(_kron, amps))
+        if value == 0:
+            return np.inf, np.zeros_like(x)  # a vanishing overlap is the worst start
+        if count == 2:  # chain G through v = a (x) b
+            grad = grad.reshape(2, 2)
+            grad = np.array([grad @ np.conj(amps[1]), np.conj(amps[0]) @ grad])
+        norms = np.sum(abs(amps) ** 2, axis=1)
+        slope = grad.reshape(amps.shape) / value - legs * amps / norms[:, None]
+        slope = np.stack([slope.real, slope.imag], axis=1)[:, : shape[1]]
+        return legs * np.sum(np.log(norms)) - 2.0 * np.log(abs(value)), -2.0 * slope.ravel()
 
-    rng = np.random.default_rng(20240829)
-    starts = [np.eye(n_params)[i] for i in range(n_params)]
-    starts += [rng.normal(size=n_params) for _ in range(16 + 2 * n_params)]
-    # coarse multi-start pass, then a single high-precision polish
-    best_val = np.inf
-    best_x = None
-    for x0 in starts:
-        res = minimize(
-            negative_overlap,
-            x0,
-            method="Nelder-Mead",
-            options={"fatol": 1e-7, "xatol": 1e-5, "maxfev": 1500},
-        )
-        if res.fun < best_val:
-            best_val = res.fun
-            best_x = res.x
-    res = minimize(
-        negative_overlap,
-        best_x,
-        method="Nelder-Mead",
-        options={"fatol": 1e-13, "xatol": 1e-11, "maxfev": 20000},
-    )
-    if res.fun < best_val:
-        best_val = res.fun
-        best_x = res.x
-
-    amps = _brute_params_to_amps(kind, best_x, complex_amplitudes)
+    size = count * shape[1] * width
+    draws = np.random.default_rng(20240829).normal(size=(16 + 2 * size, size))
+    best = min((minimize(negative_log_overlap, x0, jac=True, method="L-BFGS-B",
+                         options={"ftol": 1e-15, "gtol": 1e-10}) for x0 in [*np.eye(size), *draws]),
+               key=lambda res: res.fun)
+    amps = reduce(_kron, amplitudes(best.x))
     amps = amps / np.linalg.norm(amps)
-    lam = -best_val
-    eg_total = -2.0 * np.log2(max(lam, 1e-300))
-    mode = {"site": "per_site", "block": "per_block", "af_site": "per_site_af"}[kind]
-    return EntanglementResult(
-        lambda_max=lam,
-        eg_total=eg_total,
-        density=eg_total / n,
-        optimum=amps,
-        mode=mode,
-    )
+    lam = direct_overlap(state, amps)
+    eg_total = _unsigned_zero(-2.0 * np.log2(max(lam, 1e-300)))
+    return EntanglementResult(lambda_max=lam, eg_total=eg_total, density=eg_total / n,
+                              optimum=amps, mode=mode)

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from functools import reduce
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import clusterxy as cx
-from clusterxy.crosscheck import check_model
+from clusterxy.crosscheck import check_model, run_checks
 from clusterxy.model import PauliString
 from clusterxy.oracle import parity_sectors
 
@@ -116,6 +117,13 @@ def test_check_point_diagonalizes_once(monkeypatch):
     assert all(row.passed for row in rows)
     # the even and the odd parity block, 2^7 each, and no full 2^8 call
     assert calls == [("eigh", 128), ("eigh", 128)]
+
+
+def test_run_checks_reads_sites_once():
+    # a generator of sizes is consumed once, so it gives the rows of a tuple
+    rows = run_checks(sites=(n for n in [8]), presets=["xy"], points=2)
+    assert len(rows) == 10
+    assert rows == run_checks(sites=(8,), presets=["xy"], points=2)
 
 
 def test_dense_operator_rejects_non_hermitian():
@@ -347,6 +355,7 @@ def test_brute_product_state_has_zero_entanglement():
     for kind in ("site", "block", "af_site"):
         res = cx.brute_max_overlap(state, kind)
         assert res.eg_total == pytest.approx(0.0, abs=1e-9)
+        assert res.eg_total >= 0.0
 
 
 def test_brute_site_matches_analytic():
@@ -375,11 +384,63 @@ def test_brute_rejects_unknown_kind(monkeypatch):
         cx.brute_max_overlap(state, "pair")
 
 
-def test_brute_block_size_guard():
-    state = np.zeros(2**12)
-    state[0] = 1.0
-    with pytest.raises(ValueError, match="capped"):
-        cx.brute_max_overlap(state, "block")
+def test_brute_validates_before_searching(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("minimize called on an invalid request")
+
+    monkeypatch.setattr(cx.oracle, "minimize", counted)
+    odd = cx.oracle.site_product_state(5, np.array([0.6, 0.8]))
+    for state, kind, message in [
+        (odd, "pair", "'site', 'block' or 'af_site'"),
+        (np.ones(12) / np.sqrt(12), "site", "power of two"),
+        (odd, "block", "even sites"),
+        (odd, "af_site", "even sites"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            cx.brute_max_overlap(state, kind)
+    assert calls == []
+
+
+def test_product_contraction_matches_kronecker_reference():
+    # the value is the overlap with the unnormalized product state, and G
+    # its derivative in conj(v): d/dRe v = G and d/dIm v = -i G
+    rng = np.random.default_rng(29)
+    step = 1e-6
+    for width in (2, 4):
+        for n in range(2, 13):
+            if width == 4 and n % 2:
+                continue
+            state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            v = rng.normal(size=width) + 1j * rng.normal(size=width)
+            legs = n if width == 2 else n // 2
+            value, grad = cx.oracle._product_contraction(state, v)
+            reference = cx.direct_overlap(state, v) * np.linalg.norm(v) ** legs
+            assert abs(value) == pytest.approx(reference, rel=1e-12)
+            for shift, slope in [(1.0, grad), (1j, -1j * grad)]:
+                central = np.array([
+                    cx.oracle._product_contraction(state, v + step * shift * e)[0]
+                    - cx.oracle._product_contraction(state, v - step * shift * e)[0]
+                    for e in np.eye(width)
+                ]) / (2 * step)
+                np.testing.assert_allclose(central, slope, rtol=1e-6, atol=1e-8 * abs(grad).max())
+
+
+def test_brute_matches_analytic_maximizers_at_12_sites():
+    # no size cap: at N=12 the real brute force reproduces the site,
+    # period-2 and block maximizers within a CPU-time budget
+    spec = cx.preset_spt_afm(0.5, 12)
+    vec = cx.exact_ground_state(cx.model_hamiltonian(spec))
+    start = time.process_time()
+    brute = {kind: cx.brute_max_overlap(vec, kind, complex_amplitudes=False)
+             for kind in ("site", "af_site", "block")}
+    cpu = time.process_time() - start
+    for kind, maximize in [("site", cx.maximize_site), ("af_site", cx.maximize_site_af),
+                           ("block", cx.maximize_block)]:
+        assert brute[kind].lambda_max == pytest.approx(maximize(spec).lambda_max, abs=1e-10)
+    assert cpu <= 3.0
 
 
 def test_real_amplitudes_optimal_for_xz_ordered_models():
