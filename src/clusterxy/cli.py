@@ -87,6 +87,8 @@ def _parse_sites(text: str) -> tuple[int, ...]:
         raise ValueError(f"malformed --sites {text!r}") from exc
     if not sites or any(n < 2 for n in sites):
         raise ValueError("--sites needs a comma-separated list of integers >= 2")
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"--sites lists a size more than once: {text!r}")
     return sites
 
 

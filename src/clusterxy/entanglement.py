@@ -3,9 +3,10 @@
 The vacuum of the antiperiodic (even) sector is a paired state
 prod_k [cos(theta_k) + i sin(theta_k) c+_k c+_{N-k-1}] |0>.  Its overlap
 with a uniform two-site-block product state v = (a, b, c, d) is a product
-of quadratic forms v.M_k.v over momentum pairs, times a linear factor q.v
-when N/2 is odd.  One evaluator on these block forms serves three nested
-translation-invariant ansatze, site <= period-2 <= block:
+of quadratic forms in v over momentum pairs, times a linear factor q.v when
+N/2 is odd.  Each form couples a with d and b with c only, so it is five
+coefficients (``pair_forms``).  One evaluator on these block forms serves
+three nested translation-invariant ansatze, site <= period-2 <= block:
 
 * one single-site state s on every site: v = s x s, s = (cos xi/2, sin xi/2);
 * a period-2 product, independent states on the two sites of each block
@@ -15,10 +16,11 @@ translation-invariant ansatze, site <= period-2 <= block:
 Maximizing the squared overlap gives the geometric entanglement
 E = -log2(Lambda_max^2) and its per-site density E/N.  One evaluator,
 ``_log_overlaps``, gives the log-overlap with its gradient and Hessian from
-five coefficients per pair form.  The site search is a dense xi grid plus
-golden-section refinement; the period-2 and block searches run through one
-ascent, ``_ascend``: a trust-region Newton ascent of all starts as one
-array, then one L-BFGS-B polish of each point's winner.
+the coefficients.  The site search is a dense xi grid plus golden-section
+refinement; the period-2 and block searches each run one ascent,
+``_ascend``, seeded with the embedded optima of the smaller families: a
+trust-region Newton ascent of all starts as one array, then one L-BFGS-B
+polish of each point's winner.
 
 The three finite-N maximizers accept a model or its ``EvenVacuumAnalysis``,
 which solves the ground state and the vacuum angles once.  An
@@ -132,33 +134,31 @@ class EntanglementResult:
 # --- overlaps on the block forms ---------------------------------------------
 
 def pair_forms(t1, t2, mu) -> np.ndarray:
-    """Overlap factors of the two-site-block ansatz as quadratic forms.
-
-    Entry k is the 4x4 form M_k whose value v.M_k.v, for the amplitude
-    vector v = (a, b, c, d), is the overlap factor of the momentum pair
-    (mu_k, pi - mu_k) with Bogoliubov angles t1 = theta(mu_k) and
-    t2 = theta(pi - mu_k).
+    """Overlap factors of the two-site-block ansatz as five coefficients:
+    row k, C_k = (cos t1 cos t2, (A + B) sin mu, sin t1 sin t2, D + O, D - O)
+    with A = sin t1 cos t2, B = cos t1 sin t2, D = (A - B) cot(mu)/2 and
+    O = (A + B) cot(mu) cos(mu)/2, gives the overlap factor of the momentum
+    pair (mu_k, pi - mu_k), with Bogoliubov angles t1 = theta(mu_k) and
+    t2 = theta(pi - mu_k), as f_k = C_k . (a^2, ad, d^2, p^2, m^2) at the
+    block amplitudes v = (a, b, c, d), p, m = (b +- c)/sqrt2.
     """
     # sin(t1 -+ t2) expanded: the unexpanded form rounds differently and
     # moves the last digits of the finite-N maximizers' results
     a_cross = np.sin(t1) * np.cos(t2)
     b_cross = np.cos(t1) * np.sin(t2)
     cot = 1.0 / np.tan(mu)
-
-    m = np.zeros((mu.size, 4, 4))
-    m[:, 0, 0] = np.cos(t1) * np.cos(t2)
-    m[:, 3, 3] = np.sin(t1) * np.sin(t2)
-    m[:, 1, 1] = m[:, 2, 2] = 0.5 * (a_cross - b_cross) * cot
-    m[:, 1, 2] = m[:, 2, 1] = 0.5 * (a_cross + b_cross) * cot * np.cos(mu)
-    m[:, 0, 3] = m[:, 3, 0] = 0.5 * (a_cross + b_cross) * np.sin(mu)
-    return m
+    diag = 0.5 * (a_cross - b_cross) * cot
+    off = 0.5 * (a_cross + b_cross) * cot * np.cos(mu)
+    return np.stack([np.cos(t1) * np.cos(t2), (a_cross + b_cross) * np.sin(mu),
+                     np.sin(t1) * np.sin(t2), diag + off, diag - off], axis=-1)
 
 
 def _block_forms(angles, sites: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The pair forms of an N-site ring, sampled at mu_k = 2 pi (k + 1/2)/N.
 
-    Returns (M, q): factor k of the overlap is v.M[k].v, and the leftover
-    unpaired factor (present when N/2 is odd) is q.v.
+    Returns (C, q): factor k of the overlap is C[k] . (a^2, ad, d^2, p^2, m^2)
+    (see ``pair_forms``), and the leftover unpaired factor (present when N/2
+    is odd) is q.v.
     """
     if sites % 2 != 0:
         raise ValueError("block overlap requires an even number of sites")
@@ -169,13 +169,13 @@ def _block_forms(angles, sites: int) -> tuple[np.ndarray, np.ndarray | None]:
     n_pair = sites // 4 if sites % 4 == 0 else (sites - 2) // 4
 
     ks = np.arange(n_pair)
-    m = pair_forms(angles[ks], angles[half - 1 - ks], 2.0 * np.pi * (ks + 0.5) / sites)
+    coef = pair_forms(angles[ks], angles[half - 1 - ks], 2.0 * np.pi * (ks + 0.5) / sites)
 
     q = None
     if sites % 4 != 0:
         mid = (half - 1) // 2
         q = np.array([math.cos(angles[mid]), 0.0, 0.0, math.sin(angles[mid])])
-    return m, q
+    return coef, q
 
 
 def _block_amplitudes(ansatz) -> np.ndarray:
@@ -191,8 +191,8 @@ def overlap_block(angles, ansatz, sites: int) -> float:
     state, evaluated factor by factor (times the unpaired factor when N/2
     is odd)."""
     v = _block_amplitudes(ansatz)
-    m, q = _block_forms(angles, sites)
-    factors = np.einsum("kij,i,j->k", m, v, v)
+    coef, q = _block_forms(angles, sites)
+    factors = _factors(v, coef)
     total = float(np.prod(factors)) if factors.size else 1.0
     if q is not None:
         total *= float(q @ v)
@@ -213,10 +213,9 @@ def _product_vectors(t1, t2) -> np.ndarray:
     return np.einsum("i...,j...->...ij", a, b).reshape(a.shape[1:] + (4,))
 
 
-# --- five coefficients per pair form ------------------------------------------
+# --- the evaluator on five coefficients per pair form --------------------------
 #
-# A pair form couples a with d and b with c only, so with p, m = (b +- c)/sqrt2
-# it is five numbers, f_k = C_k . (a^2, ad, d^2, p^2, m^2).  Monomial j is
+# f_k = C_k . (a^2, ad, d^2, p^2, m^2) with p, m = (b +- c)/sqrt2.  Monomial j is
 # v.S_j.v: (v x v) @ _QUAD gives them, v @ _JACOBIAN, shaped (4, 5), their
 # gradients 2 S_j v, and G @ _CURVATURE, shaped (4, 4), sum_j G_j 2 S_j.
 _MONOMIALS = np.zeros((5, 4, 4))
@@ -224,19 +223,11 @@ _MONOMIALS[0, 0, 0] = _MONOMIALS[2, 3, 3] = 1.0
 _MONOMIALS[1, 0, 3] = _MONOMIALS[1, 3, 0] = 0.5
 _MONOMIALS[3, 1:3, 1:3], _MONOMIALS[4, 1:3, 1:3] = 0.5, [[0.5, -0.5], [-0.5, 0.5]]
 _QUAD, _CURVATURE = _MONOMIALS.reshape(5, 16).T, 2.0 * _MONOMIALS.reshape(5, 16)
-_FROM_ENTRIES = np.array([[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 1, 0, 0],
-                          [0, 0, 0, 1, 1], [0, 0, 0, 1, -1]], dtype=float)
 _JACOBIAN = 2.0 * _MONOMIALS.transpose(2, 1, 0).reshape(4, 20)
 #: pairs[..., i] = C_{_PAIR_I[i]} C_{_PAIR_J[i]}; _SYMMETRIC spreads them over 5 x 5
 _PAIR_I, _PAIR_J = np.triu_indices(5)
 _SYMMETRIC = np.zeros((5, 5), dtype=int)
 _SYMMETRIC[_PAIR_I, _PAIR_J] = _SYMMETRIC[_PAIR_J, _PAIR_I] = np.arange(_PAIR_I.size)
-
-
-def _coefficients(m) -> np.ndarray:
-    """C = (m00, 2 m03, m33, m11 + m12, m11 - m12), shape (..., K, 5), of pair
-    forms ``m`` of shape (..., K, 4, 4)."""
-    return m.reshape(m.shape[:-2] + (16,))[..., [0, 3, 15, 5, 6]] @ _FROM_ENTRIES
 
 
 def _factors(v, coef) -> np.ndarray:
@@ -290,10 +281,9 @@ def _log_overlaps(v, coef, q, weights, order=0, pairs=None):
 
 # --- one batched ascent over products of quadratic forms ----------------------
 
-def _evaluator(m, q, weights):
-    """``_log_overlaps`` on forms ``m`` (P, K, 4, 4), or (K, 4, 4) for one
+def _evaluator(coef, q, weights):
+    """``_log_overlaps`` on coefficients ``coef`` (P, K, 5), or (K, 5) for one
     point: evaluate(v, order, points) takes v (len(points), S, 4)."""
-    coef = _coefficients(m)
     pairs = coef[..., _PAIR_I] * coef[..., _PAIR_J]
 
     def evaluate(v, order, points):
@@ -303,12 +293,12 @@ def _evaluator(m, q, weights):
     return evaluate
 
 
-def _sphere(m, q, weights):
+def _sphere(coef, q, weights):
     """(derivs, retract) over the amplitude sphere: ``derivs(x, order)``
     gives, at u = x/|x|, the value, the Riemannian gradient P g / |x| (a
     polish from an unnormalized x sees the scale-invariant gradient) and, at
     order 2, the Riemannian Hessian P H P - (u.g) P, with P = I - u u^T."""
-    evaluate = _evaluator(m, q, weights)
+    evaluate = _evaluator(coef, q, weights)
 
     def derivs(x, order, points=slice(None)):
         norm = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -330,12 +320,12 @@ _TANGENTS = np.hstack([np.kron(_TURN, np.eye(2)).T, np.kron(np.eye(2), _TURN).T]
 _MIXED = np.kron(_TURN, _TURN).T
 
 
-def _torus(m, q, weights):
+def _torus(coef, q, weights):
     """(derivs, retract) of the period-2 objective in t = (t1, t2), the
     log-overlap at v = a x b.  With J = [a' x b, a x b'] the gradient is
     J^T g; the Hessian is J^T H J plus -g.v on the diagonal (a'' = -a,
     b'' = -b) and g.(a' x b') off it."""
-    evaluate = _evaluator(m, q, weights)
+    evaluate = _evaluator(coef, q, weights)
 
     def derivs(t, order, points=slice(None)):
         v = _product_vectors(t[..., 0], t[..., 1])
@@ -351,7 +341,7 @@ def _torus(m, q, weights):
     return derivs, lambda t, step: t + step
 
 
-def _ascend(problem, starts, best_val=None, best_x=None):
+def _ascend(problem, starts):
     """Trust-region Newton ascent of ``problem`` = (derivs, retract) from
     ``starts`` (P, S, dim), S starts for each of P points, as one array, then
     one L-BFGS-B polish of each point's best row.  Steps are saddle-free (the
@@ -360,8 +350,9 @@ def _ascend(problem, starts, best_val=None, best_x=None):
     value.  A start retires when its gradient is below 1e-8 max(1, |value|),
     a kept step gains at most 1e-15 relative, or its radius falls below
     1e-12.  Every row of a point with an active start is evaluated, so no
-    point's arithmetic depends on the others.  Returns the best (values (P,),
-    x (P, dim)), each the incumbent (best_val, best_x) unless beaten."""
+    point's arithmetic depends on the others.  Returns each point's best
+    (values (P,), x (P, dim)): the polish's end, or its start when the polish
+    does not climb above it."""
     derivs, retract = problem
     x = np.array(starts, dtype=float)
     val, grad, hess = derivs(x, 2)
@@ -392,30 +383,29 @@ def _ascend(problem, starts, best_val=None, best_x=None):
         active[rows] = ~(kept & (gain <= 1e-15 * np.maximum(1.0, np.abs(val[rows]))))
         active[rows] &= radius[rows] >= 1e-12
 
-    best_val = np.full(len(x), -np.inf) if best_val is None else np.array(best_val, dtype=float)
-    best_x = np.zeros(x[:, 0].shape) if best_x is None else np.array(best_x, dtype=float)
+    best_val, best_x = np.empty(len(x)), np.empty(x[:, 0].shape)
     for point, row in enumerate(np.argmax(val, axis=1)):
         one = slice(point, point + 1)
         res = minimize(lambda z: tuple(-y[0, 0] for y in derivs(z[None, None], 1, one)[:2]),
                        x[point, row], jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS)
-        value, end = (-res.fun, res.x) if -res.fun > val[point, row] else (val[point, row], x[point, row])
-        if value > best_val[point]:
-            best_val[point], best_x[point] = value, end
+        best_val[point], best_x[point] = ((-res.fun, res.x) if -res.fun > val[point, row]
+                                          else (val[point, row], x[point, row]))
     return best_val, best_x
 
 
-def _maximize_on_sphere(m, q, weights, starts):
+def _maximize_on_sphere(coef, q, weights, starts):
     """Ascent over the amplitude sphere from the starts (P, S, 4) of each
-    point of forms ``m``; returns the best log values and unit vectors."""
+    point's coefficients ``coef``; returns the best log values and unit vectors."""
     x = np.array(starts, dtype=float)
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    # a vanishing factor kills the clamped gradient; nudge off it
-    clamped = np.any(np.abs(_factors(x, _coefficients(m))) < 1e-100, axis=-1)
+    # a Newton step only doubles a vanishing factor, so a start on one stays
+    # active for every iteration; nudge off it
+    clamped = np.any(np.abs(_factors(x, coef)) < 1e-100, axis=-1)
     if q is not None:
         clamped |= np.abs(_unpaired(x, q)) < 1e-100
     x[clamped] += 0.05
     x[clamped] /= np.linalg.norm(x[clamped], axis=-1, keepdims=True)
-    best_val, best_v = _ascend(_sphere(m, q, weights), x)
+    best_val, best_v = _ascend(_sphere(coef, q, weights), x)
     best_v /= np.linalg.norm(best_v, axis=-1, keepdims=True)
     return best_val, np.array([_canonical_sign(v) for v in best_v])
 
@@ -463,7 +453,7 @@ def _golden_max(fun, lo, hi, tol):
     return mid, fun(mid)
 
 
-def _af_grid_starts(m, q, weights) -> list[np.ndarray]:
+def _af_grid_starts(coef, q, weights) -> list[np.ndarray]:
     """The AF_GRID_STARTS best cells of a coarse (t1, t2) scan of one
     point's period-2 objective, best first.  f(a x b) = f(b x a), so the
     cells with t1 <= t2 are evaluated and mirrored."""
@@ -471,7 +461,7 @@ def _af_grid_starts(m, q, weights) -> list[np.ndarray]:
     upper = np.triu_indices(AF_GRID_POINTS)
     vals = np.empty((AF_GRID_POINTS, AF_GRID_POINTS))
     vals[upper] = vals[upper[::-1]] = _log_overlaps(
-        _product_vectors(grid[upper[0]], grid[upper[1]]), _coefficients(m), q, weights)
+        _product_vectors(grid[upper[0]], grid[upper[1]]), coef, q, weights)
     order = np.argsort(vals.ravel())[::-1][:AF_GRID_STARTS]
     return [np.array([grid[i // AF_GRID_POINTS], grid[i % AF_GRID_POINTS]]) for i in order]
 
@@ -510,10 +500,10 @@ class EvenVacuumAnalysis:
 
     @cached_property
     def forms(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """(M, q, weights): the block overlap as quadratic forms (see
-        ``_block_forms``) with unit weights."""
-        m, q = _block_forms(self.angles, self.sites)
-        return m, q, np.ones(m.shape[0])
+        """(C, q, weights): the block overlap's pair coefficients and
+        unpaired factor (see ``_block_forms``) with unit weights."""
+        coef, q = _block_forms(self.angles, self.sites)
+        return coef, q, np.ones(coef.shape[0])
 
     def solved(self, search: str) -> tuple:
         """This point's entry of each array of its batch's ``search``."""
@@ -554,16 +544,15 @@ class AnalysisBatch:
 
     @cached_property
     def forms(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """The forms stacked: M (P, K, 4, 4), q (P, 4) or None, weights."""
-        m, q, weights = zip(*(analysis.forms for analysis in self.analyses))
-        return np.stack(m), None if q[0] is None else np.stack(q), weights[0]
+        """The forms stacked: C (P, K, 5), q (P, 4) or None, weights."""
+        coef, q, weights = zip(*(analysis.forms for analysis in self.analyses))
+        return np.stack(coef), None if q[0] is None else np.stack(q), weights[0]
 
     @cached_property
     def site_optima(self) -> tuple[np.ndarray, ...]:
         """``site_optimum`` of every point: the grid point by point, then one
         golden section for all."""
-        m, q, weights = self.forms
-        coef = _coefficients(m)
+        coef, q, weights = self.forms
         grid = np.linspace(0.0, math.pi, SITE_GRID_POINTS)
         on_grid = _product_vectors(0.5 * grid, 0.5 * grid)
         values = np.array([_log_overlaps(on_grid, coef[i], None if q is None else q[i], weights)
@@ -579,16 +568,11 @@ class AnalysisBatch:
 
     @cached_property
     def af_optima(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log Lambda, (t1, t2)) of the period-2 family from the grid starts."""
-        starts = [_af_grid_starts(*analysis.forms) for analysis in self.analyses]
+        """(log Lambda, (t1, t2)) of the period-2 family: one ascent from each
+        point's grid starts plus the embedded site optimum (xi/2, xi/2)."""
+        starts = [_af_grid_starts(*analysis.forms) + [np.array([0.5 * xi, 0.5 * xi])]
+                  for analysis, xi in zip(self.analyses, self.site_optima[0])]
         return _ascend(_torus(*self.forms), starts)
-
-    @cached_property
-    def af_results(self) -> tuple[np.ndarray, np.ndarray]:
-        """The grid-start optima against one more ascent from the site optimum."""
-        half_xi = 0.5 * self.site_optima[0]
-        return _ascend(_torus(*self.forms), np.stack([half_xi, half_xi], axis=-1)[:, None],
-                       *self.af_optima)
 
     @cached_property
     def block_results(self) -> tuple[np.ndarray, np.ndarray]:
@@ -630,10 +614,10 @@ def maximize_block(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
 def maximize_site_af(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
     """Per-site geometric entanglement against period-2 product states
     (independent states on the two sites of each block), the family that
-    stays faithful for antiferromagnetic order.  The grid-start optimum is
-    compared with one more ascent from the embedded site optimum."""
+    stays faithful for antiferromagnetic order: one ascent from the best
+    cells of a coarse (t1, t2) grid and the embedded site optimum."""
     analysis = _analysis(spec)
-    log_lambda, t = analysis.solved("af_results")
+    log_lambda, t = analysis.solved("af_optima")
     v = _canonical_sign(_product_vectors(*t))
     return analysis.result(float(log_lambda), BlockAnsatz(*(float(x) for x in v)), "per_site_af")
 
@@ -677,7 +661,7 @@ def thermo_block_density(spec: ModelSpec) -> float:
     (log_integral,), (v,) = _maximize_on_sphere(forms(mu)[None], None, weights, [_block_starts([])])
 
     value, abserr = quad(
-        lambda x: float(_log_overlaps(v, _coefficients(forms(np.array([x]))), None, np.ones(1))),
+        lambda x: float(_log_overlaps(v, forms(np.array([x])), None, np.ones(1))),
         0.0, 0.5 * math.pi, epsabs=THERMO_QUAD_TOL, epsrel=0.0, limit=400, full_output=True,
     )[:2]
     if abserr > 100.0 * max(THERMO_QUAD_TOL, abs(value) * 1e-12):

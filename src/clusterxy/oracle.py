@@ -305,8 +305,10 @@ def brute_max_overlap(state: np.ndarray, kind: str, complex_amplitudes: bool = T
 
     size = count * shape[1] * width
     draws = np.random.default_rng(20240829).normal(size=(16 + 2 * size, size))
+    # a unit vector would leave a part of a (x) b zero: af_site starts from e_i (x) e_j
+    units = np.eye(size) if count == 1 else [np.r_[a, b] for a in np.eye(2, size // 2) for b in np.eye(2, size // 2)]
     best = min((minimize(negative_log_overlap, x0, jac=True, method="L-BFGS-B",
-                         options={"ftol": 1e-15, "gtol": 1e-10}) for x0 in [*np.eye(size), *draws]),
+                         options={"ftol": 1e-15, "gtol": 1e-10}) for x0 in [*units, *draws]),
                key=lambda res: res.fun)
     amps = reduce(_kron, amplitudes(best.x))
     amps = amps / np.linalg.norm(amps)

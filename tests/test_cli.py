@@ -81,6 +81,26 @@ def test_ent_scan_rejects_partial_step_sweep_before_solving(monkeypatch, capsys)
     assert built == []
 
 
+def test_repeated_size_exits_2_before_solving(monkeypatch, capsys):
+    # a size listed twice used to batch and solve every point twice and
+    # print each row twice
+    solved = []
+
+    class Counting(cli.EvenVacuumAnalysis):
+        def __init__(self, spec):
+            solved.append(spec)
+            super().__init__(spec)
+
+    monkeypatch.setattr(cli, "EvenVacuumAnalysis", Counting)
+    monkeypatch.setattr(cli, "ground_and_gap", lambda spec: solved.append(spec))
+    sweep = ["--model", "xzy", "--r", "0.5", "--sites", "16,64,16", "--sweep", "h:0.8:1.2:0.1"]
+    for argv in (["ent-scan", *sweep, "--quantities", "ent_site"], ["gap-scan", *sweep]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert "more than once" in err and out == "", argv
+    assert solved == []
+
+
 def test_unread_or_swept_options_exit_2_before_solving(monkeypatch, tmp_path, capsys):
     # an option the model never reads, or one that sets the swept parameter,
     # used to be dropped without a word while the echo showed its value

@@ -20,7 +20,7 @@ from clusterxy.entanglement import (
     _af_grid_starts,
     _block_forms,
     _block_starts,
-    _coefficients,
+    _factors,
     _log_overlaps,
     _product_vectors,
     _sphere,
@@ -85,11 +85,11 @@ def test_block_reduces_to_site():
 def test_af_gradient_matches_central_differences(spec):
     # the ascent's gradients and Hessians against central differences: in t
     # on the period-2 torus, and along tangent geodesics of the sphere
-    m, q, weights = EvenVacuumAnalysis(spec).forms
+    coef, q, weights = EvenVacuumAnalysis(spec).forms
     assert (q is not None) == (spec.sites % 4 != 0)
     rng = np.random.default_rng(61)
     step = 1e-6
-    derivs, _ = _torus(m, q, weights)
+    derivs, _ = _torus(coef, q, weights)
     for t in rng.uniform(0.0, math.pi, size=(3, 2)):
         _, grad, hess = derivs(t[None], 2)
         for e, g_i, h_i in zip(np.eye(2), grad[0], hess[0]):
@@ -97,7 +97,7 @@ def test_af_gradient_matches_central_differences(spec):
             assert abs((val[0] - val[1]) / (2 * step) - g_i) <= 1e-7 * np.linalg.norm(grad)
             assert np.linalg.norm((g[0] - g[1]) / (2 * step) - h_i) <= 1e-6 * np.linalg.norm(hess)
 
-    derivs, _ = _sphere(m, q, weights)
+    derivs, _ = _sphere(coef, q, weights)
     s = 1e-4
     for u, e in rng.normal(size=(3, 2, 4)):
         u /= np.linalg.norm(u)
@@ -109,6 +109,47 @@ def test_af_gradient_matches_central_differences(spec):
         assert abs((ends[0] - ends[1]) / (2 * s) - e @ grad[0]) <= 1e-6 * np.linalg.norm(grad)
         curvature = (ends[0] - 2 * val[0] + ends[1]) / s**2
         assert abs(curvature - e @ hess[0] @ e) <= 1e-5 * np.linalg.norm(hess)
+
+
+def reference_matrices(angles, sites):
+    """(M, q): the pair forms as 4x4 matrices, v.M[k].v the overlap factor of
+    the momentum pair (mu_k, pi - mu_k), mu_k = 2 pi (k + 1/2)/N, at the block
+    amplitudes v = (a, b, c, d), and the unpaired factor q.v of N/2 odd (else
+    None); built entry by entry, independently of ``pair_forms``."""
+    half = sites // 2
+    ks = np.arange(sites // 4)
+    t1, t2, mu = angles[ks], angles[half - 1 - ks], 2.0 * np.pi * (ks + 0.5) / sites
+    a_cross, b_cross, cot = np.sin(t1) * np.cos(t2), np.cos(t1) * np.sin(t2), 1.0 / np.tan(mu)
+    m = np.zeros((ks.size, 4, 4))
+    m[:, 0, 0] = np.cos(t1) * np.cos(t2)
+    m[:, 3, 3] = np.sin(t1) * np.sin(t2)
+    m[:, 1, 1] = m[:, 2, 2] = 0.5 * (a_cross - b_cross) * cot
+    m[:, 1, 2] = m[:, 2, 1] = 0.5 * (a_cross + b_cross) * cot * np.cos(mu)
+    m[:, 0, 3] = m[:, 3, 0] = 0.5 * (a_cross + b_cross) * np.sin(mu)
+    mid = angles[(half - 1) // 2]
+    return m, None if half % 2 == 0 else np.array([math.cos(mid), 0.0, 0.0, math.sin(mid)])
+
+
+@pytest.mark.parametrize("sites", [64, 66])
+def test_pair_coefficients_match_quadratic_forms(sites):
+    # the five coefficients evaluate the 4x4 forms: each factor to 1e-13 of
+    # |v|.|M_k|.|v|, the scale of its terms, and the overlap is their product
+    # to the relative errors of its factors summed
+    rng = np.random.default_rng(sites)
+    angles = rng.uniform(-math.pi / 2, math.pi / 2, sites // 2)
+    m, q = reference_matrices(angles, sites)
+    coef, q_forms = _block_forms(angles, sites)
+    assert coef.shape == (sites // 4, 5)
+    assert (q is None and q_forms is None) or np.array_equal(q, q_forms)
+    v = rng.normal(size=(200, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    want = np.einsum("kij,ni,nj->nk", m, v, v)
+    scale = np.einsum("kij,ni,nj->nk", np.abs(m), np.abs(v), np.abs(v))
+    assert np.all(np.abs(_factors(v, coef) - want) <= 1e-13 * scale)
+    for row, factors, terms in zip(v, want, scale):
+        total = np.prod(factors) * (1.0 if q is None else q @ row)
+        rel = 1e-13 * (1.0 + np.sum(terms / np.abs(factors)))
+        assert abs(cx.overlap_block(angles, row, sites) - total) <= rel * abs(total)
 
 
 def test_unpaired_factor_only_when_half_is_odd():
@@ -224,7 +265,7 @@ def test_optimizer_never_beaten_by_random_probe():
         angles = cx.even_vacuum_angles(spec)
         probes = rng.normal(size=(10_000, 4))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        m, q = _block_forms(angles, spec.sites)
+        m, q = reference_matrices(angles, spec.sites)
         factors = np.einsum("kij,ni,nj->nk", m, probes, probes)
         values = np.abs(np.prod(factors, axis=1))
         if q is not None:
@@ -236,8 +277,9 @@ def test_optimizer_never_beaten_by_random_probe():
 
 
 def reference_value_grad(v, m, q, weights):
-    """The log-product at u = v/|v| and its tangential gradient in v, as the
-    per-start L-BFGS-B searches evaluated them."""
+    """The log-product at u = v/|v| and its tangential gradient in v, on the
+    4x4 forms ``m`` of ``reference_matrices``, as the per-start L-BFGS-B
+    searches evaluated them."""
     norm = np.linalg.norm(v)
     u = v / norm
     mu = m @ u
@@ -259,7 +301,8 @@ def reference_af_value_grad(t, m, q, weights):
     return val, np.array([a[0] * ga[1] - a[1] * ga[0], b[0] * gb[1] - b[1] * gb[0]])
 
 
-def reference_ascent(value_grad, starts, best=(-np.inf, None)):
+def reference_ascent(value_grad, starts):
+    best = (-np.inf, None)
     for x0 in starts:
         res = minimize(lambda x: tuple(-y for y in value_grad(x)), x0, jac=True,
                        method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12})
@@ -270,14 +313,17 @@ def reference_ascent(value_grad, starts, best=(-np.inf, None)):
 
 def reference_maxima(analysis):
     """log Lambda of the period-2 and block families, from the starts the
-    maximizers use, by one L-BFGS-B ascent per start."""
-    m, q, weights = analysis.forms
+    maximizers use, by one L-BFGS-B ascent per start on the 4x4 forms: the
+    period-2 grid cells plus the embedded site optimum, then the block starts
+    seeded with the site optimum and that period-2 optimum, each start on a
+    vanishing factor nudged off it."""
+    coef, q, weights = analysis.forms
+    m, _ = reference_matrices(analysis.angles, analysis.sites)
     xi = analysis.site_optimum[0]
     af = lambda t: reference_af_value_grad(t, m, q, weights)  # noqa: E731
-    grid = reference_ascent(af, _af_grid_starts(m, q, weights))
-    af_log = reference_ascent(af, [np.array([xi / 2, xi / 2])], grid)[0]
+    af_log, t = reference_ascent(af, _af_grid_starts(coef, q, weights) + [np.array([xi / 2, xi / 2])])
     starts = []
-    for x in _block_starts([_product_vectors(xi / 2, xi / 2), _product_vectors(*grid[1])]):
+    for x in _block_starts([_product_vectors(xi / 2, xi / 2), _product_vectors(*t)]):
         x = x / np.linalg.norm(x)
         if np.min(np.abs(np.einsum("kij,i,j->k", m, x, x))) < 1e-100 or (
             q is not None and abs(q @ x) < 1e-100
@@ -320,8 +366,9 @@ def test_batched_ascent_matches_per_start_lbfgsb():
 
 
 def test_one_polish_per_search(monkeypatch):
-    # each period-2 and block search ends with one L-BFGS-B polish of each
-    # point's winner; one ascent per start made 41 calls per point here
+    # the period-2 and the block search each end with one L-BFGS-B polish of
+    # each point's winner, two per point; one ascent per start made 41 calls
+    # per point here
     calls = []
 
     def counting(*args, **kwargs):
@@ -333,7 +380,7 @@ def test_one_polish_per_search(monkeypatch):
     cx.maximize_site(analysis)
     cx.maximize_site_af(analysis)
     cx.maximize_block(analysis)
-    assert len(calls) <= 3
+    assert len(calls) <= 2
 
     calls.clear()
     analyses = [EvenVacuumAnalysis(cx.preset_xny(1, 0.5, h, 64)) for h in (0.8, 0.9, 1.0, 1.1, 1.2)]
@@ -342,7 +389,7 @@ def test_one_polish_per_search(monkeypatch):
         cx.maximize_site(analysis)
         cx.maximize_site_af(analysis)
         cx.maximize_block(analysis)
-    assert len(calls) <= 3 * len(analyses)
+    assert len(calls) <= 2 * len(analyses)
 
 
 def _log_lambdas(analysis):
@@ -386,7 +433,7 @@ def test_batch_matches_batch_of_one(build, values, sites):
 
 def test_size_batch_call_counts(monkeypatch):
     # a 21-point ent-scan at one size solves its points as one batch: one
-    # maximizer call per point, at most 3 polishes per point, and outside the
+    # maximizer call per point, at most 2 polishes per point, and outside the
     # polishes at most 3x the evaluator calls of one point (one search per
     # point made 21x); each polish still evaluates its own point
     counts = {"polish": 0, "eval": 0, "polish_eval": 0}
@@ -424,7 +471,7 @@ def test_size_batch_call_counts(monkeypatch):
                          "--quantities", "ent_site,ent_af,ent_block"]) == 0
     print(f"one point {one_point}, 21 points {counts}")
     assert calls == {kind: 21 for kind in cli._ENT_FUNCS}
-    assert counts["polish"] <= 3 * 21
+    assert counts["polish"] <= 2 * 21
     assert counts["eval"] <= 3 * one_point["eval"]
 
 
@@ -436,12 +483,11 @@ def test_size_batch_call_counts(monkeypatch):
 )
 def test_af_half_grid_matches_full_grid(spec):
     # f(a x b) = f(b x a): the grid is evaluated on t1 <= t2 and mirrored
-    m, q, weights = EvenVacuumAnalysis(spec).forms
-    coef = _coefficients(m)
+    coef, q, weights = EvenVacuumAnalysis(spec).forms
     grid = np.linspace(0.0, math.pi, AF_GRID_POINTS, endpoint=False)
     tt1, tt2 = np.meshgrid(grid, grid, indexing="ij")
     full = _log_overlaps(_product_vectors(tt1, tt2), coef, q, weights).max()
-    best = _log_overlaps(_product_vectors(*_af_grid_starts(m, q, weights)[0]), coef, q, weights)
+    best = _log_overlaps(_product_vectors(*_af_grid_starts(coef, q, weights)[0]), coef, q, weights)
     assert best == pytest.approx(full, rel=1e-12, abs=1e-12)
 
 

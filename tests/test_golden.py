@@ -15,6 +15,9 @@ how far each column of a case moved against its stored golden, without
 writing anything, run
 
     PYTHONPATH=src python tests/test_golden.py --compare [case ...]
+
+A thermo case whose cells all moved within ``THERMO_ATOL`` is reported as
+passing as recorded: it needs no re-recording.
 """
 
 from __future__ import annotations
@@ -163,6 +166,8 @@ def compare(name: str) -> list[str]:
         if len(deltas) < len(moved):
             line += f", {len(moved) - len(deltas)} non-numeric"
         lines.append(line)
+    if CASES[name][0] == "thermo" and first_difference(got, want, THERMO_ATOL) is None:
+        lines.append(f"{name}: every move within THERMO_ATOL = {THERMO_ATOL:g}, passes as recorded")
     return lines or [f"{name}: cells equal, formatting differs: {first_difference(got, want)}"]
 
 

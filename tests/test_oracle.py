@@ -443,6 +443,27 @@ def test_brute_matches_analytic_maximizers_at_12_sites():
     assert cpu <= 3.0
 
 
+def test_brute_starts_all_alive_at_8_sites(monkeypatch):
+    # every start of every family sees a nonzero overlap at N=8; the af_site
+    # unit-vector starts used to leave a zero part, a (x) 0, and score inf
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    minimize = cx.oracle.minimize
+    monkeypatch.setattr(cx.oracle, "minimize", recording)
+    for spec in (cx.preset_spt_afm(2.0, 8), cx.preset_xny(1, 1.0, 0.5, 8)):
+        vec = cx.exact_ground_state(cx.model_hamiltonian(spec))
+        for kind in ("site", "af_site", "block"):
+            for complex_amplitudes in (False, True):
+                results.clear()
+                cx.brute_max_overlap(vec, kind, complex_amplitudes=complex_amplitudes)
+                dead = sum(not np.isfinite(res.fun) for res in results)
+                assert results and dead == 0, (spec, kind, complex_amplitudes, dead)
+
+
 def test_real_amplitudes_optimal_for_xz_ordered_models():
     # complex product amplitudes give no advantage for models ordering in
     # the x/z plane (the pairing structure is real there)
