@@ -16,11 +16,11 @@ three nested translation-invariant ansatze, site <= period-2 <= block:
 Maximizing the squared overlap gives the geometric entanglement
 E = -log2(Lambda_max^2) and its per-site density E/N.  One evaluator,
 ``_log_overlaps``, gives the log-overlap with its gradient and Hessian from
-the coefficients.  The site search is a dense xi grid plus golden-section
-refinement; the period-2 and block searches each run one ascent,
-``_ascend``, seeded with the embedded optima of the smaller families: a
-trust-region Newton ascent of all starts as one array, then one L-BFGS-B
-polish of each point's winner.
+the coefficients.  Every family runs one trust-region Newton ascent of all
+its starts as one array, ``_newton``: the site angle from the best cell of
+a dense xi grid, the period-2 and block families from starts that hold the
+embedded optima of the smaller families.  The period-2 and block searches
+(``_ascend``) end with one L-BFGS-B polish of each point's winner.
 
 The three finite-N maximizers accept a model or its ``EvenVacuumAnalysis``,
 which solves the ground state and the vacuum angles once.  An
@@ -45,11 +45,9 @@ from .freefermion import bogoliubov_angle, dispersion, even_vacuum_angles, groun
 
 _LN2 = math.log(2.0)
 _TINY = 1e-120
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Site-angle optimization: dense-grid resolution and refinement tolerance.
+#: Site-angle optimization: dense-grid resolution.
 SITE_GRID_POINTS = 257
-SITE_XI_TOL = 1e-10
 
 #: Sphere optimization: number of multi-start seeds for the block problem.
 BLOCK_STARTS = 32
@@ -59,7 +57,7 @@ BLOCK_STARTS = 32
 AF_GRID_POINTS = 48
 AF_GRID_STARTS = 8
 
-#: Batched Newton ascent (``_ascend``): the first and the largest trust
+#: Batched Newton ascent (``_newton``): the first and the largest trust
 #: radius, and the iteration cap.
 NEWTON_RADIUS, NEWTON_MAX_RADIUS, NEWTON_MAXITER = 0.5, 1.0, 200
 
@@ -164,8 +162,8 @@ def _block_forms(angles, sites: int) -> tuple[np.ndarray, np.ndarray | None]:
         raise ValueError("block overlap requires an even number of sites")
     half = sites // 2
     angles = np.asarray(angles, dtype=float)
-    if angles.shape[0] < half:
-        raise ValueError(f"need {half} vacuum angles, got {angles.shape[0]}")
+    if angles.shape != (half,):
+        raise ValueError(f"need {half} vacuum angles, got {angles.size}")
     n_pair = sites // 4 if sites % 4 == 0 else (sites - 2) // 4
 
     ks = np.arange(n_pair)
@@ -253,7 +251,7 @@ def _log_overlaps(v, coef, q, weights, order=0, pairs=None):
     and the Hessian sum_j (c @ C)_j 2 S_j, a 2x2 block on (a, d) and a
     diagonal one on (p, m), minus B Q B^T, Q = c/f @ C_i C_j (``pairs``)."""
     f = _factors(v, coef)
-    mag = np.abs(f)
+    mag = np.abs(f) if order else np.abs(f, out=f)
     if order:
         f = np.where(mag < _TINY, _TINY, f)
     val = np.log(np.maximum(mag, _TINY, out=mag), out=mag) @ weights
@@ -341,18 +339,32 @@ def _torus(coef, q, weights):
     return derivs, lambda t, step: t + step
 
 
-def _ascend(problem, starts):
+def _diagonal(coef, q, weights):
+    """(derivs, retract) of the site objective in t = xi/2, shaped (..., 1):
+    the period-2 objective (``_torus``) at t1 = t2 = t, so its gradient is
+    g1 + g2 and its Hessian the sum of the torus Hessian's entries."""
+    torus, _ = _torus(coef, q, weights)
+
+    def derivs(t, order, points=slice(None)):
+        val, g, h = torus(np.concatenate([t, t], axis=-1), order, points)
+        if h is not None:
+            h = h.sum(axis=(-2, -1))[..., None, None]
+        return val, g.sum(axis=-1, keepdims=True), h
+
+    return derivs, lambda t, step: t + step
+
+
+def _newton(problem, starts):
     """Trust-region Newton ascent of ``problem`` = (derivs, retract) from
-    ``starts`` (P, S, dim), S starts for each of P points, as one array, then
-    one L-BFGS-B polish of each point's best row.  Steps are saddle-free (the
-    gradient over |eigenvalue| of the Hessian, floored at 1e-12 of the
-    largest), cut to each start's trust radius, and refused if they lower the
-    value.  A start retires when its gradient is below 1e-8 max(1, |value|),
-    a kept step gains at most 1e-15 relative, or its radius falls below
-    1e-12.  Every row of a point with an active start is evaluated, so no
-    point's arithmetic depends on the others.  Returns each point's best
-    (values (P,), x (P, dim)): the polish's end, or its start when the polish
-    does not climb above it."""
+    ``starts`` (P, S, dim), S starts for each of P points, as one array.
+    Steps are saddle-free (the gradient over |eigenvalue| of the Hessian,
+    floored at 1e-12 of the largest), cut to each start's trust radius, and
+    refused if they lower the value, so no start ends below where it began.
+    A start retires when its gradient is below 1e-8 max(1, |value|), a kept
+    step gains at most 1e-15 relative, or its radius falls below 1e-12.
+    Every row of a point with an active start is evaluated, so no point's
+    arithmetic depends on the others.  Returns every start's (values (P, S),
+    x (P, S, dim))."""
     derivs, retract = problem
     x = np.array(starts, dtype=float)
     val, grad, hess = derivs(x, 2)
@@ -382,7 +394,16 @@ def _ascend(problem, starts):
         radius[rows] = np.where(kept, grown, 0.25 * lengths * cut)
         active[rows] = ~(kept & (gain <= 1e-15 * np.maximum(1.0, np.abs(val[rows]))))
         active[rows] &= radius[rows] >= 1e-12
+    return val, x
 
+
+def _ascend(problem, starts):
+    """``_newton`` from ``starts`` (P, S, dim), then one L-BFGS-B polish of
+    each point's best row.  Returns each point's best (values (P,), x (P,
+    dim)): the polish's end, or its start when the polish does not climb
+    above it."""
+    derivs = problem[0]
+    val, x = _newton(problem, starts)
     best_val, best_x = np.empty(len(x)), np.empty(x[:, 0].shape)
     for point, row in enumerate(np.argmax(val, axis=1)):
         one = slice(point, point + 1)
@@ -432,26 +453,7 @@ def _block_starts(embedded: list[np.ndarray]) -> list[np.ndarray]:
     return starts
 
 
-# --- site-angle and period-2 maximization ---------------------------------------
-
-def _golden_max(fun, lo, hi, tol):
-    """Golden-section maxima of ``fun`` on the brackets [lo, hi] of arrays;
-    each bracket narrows on its own until it is below tol."""
-    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    while np.any(hi - lo > tol):
-        wide = hi - lo > tol
-        left, right = wide & (fc >= fd), wide & ~(fc >= fd)
-        hi, lo = np.where(left, d, hi), np.where(right, c, lo)
-        c, fc, d, fd = (np.where(right, d, c), np.where(right, fd, fc),
-                        np.where(left, c, d), np.where(left, fc, fd))
-        probe = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
-        fp = fun(probe)
-        c, fc, d, fd = (np.where(left, probe, c), np.where(left, fp, fc),
-                        np.where(right, probe, d), np.where(right, fp, fd))
-    mid = 0.5 * (lo + hi)
-    return mid, fun(mid)
-
+# --- period-2 grid starts ---------------------------------------------------
 
 def _af_grid_starts(coef, q, weights) -> list[np.ndarray]:
     """The AF_GRID_STARTS best cells of a coarse (t1, t2) scan of one
@@ -511,9 +513,8 @@ class EvenVacuumAnalysis:
         return tuple(x[self.slot] for x in getattr(batch, search))
 
     @property
-    def site_optimum(self) -> tuple[float, float, float, float]:
-        """(xi, log Lambda) after golden-section refinement around the best
-        cell of a dense xi grid, followed by (xi, log Lambda) of that cell."""
+    def site_optimum(self) -> tuple[float, float]:
+        """(xi, log Lambda) of the site family, xi in [0, pi]."""
         return tuple(float(x) for x in self.solved("site_optima"))
 
     def result(self, log_lambda: float, optimum, mode: str) -> EntanglementResult:
@@ -549,22 +550,17 @@ class AnalysisBatch:
         return np.stack(coef), None if q[0] is None else np.stack(q), weights[0]
 
     @cached_property
-    def site_optima(self) -> tuple[np.ndarray, ...]:
-        """``site_optimum`` of every point: the grid point by point, then one
-        golden section for all."""
+    def site_optima(self) -> tuple[np.ndarray, np.ndarray]:
+        """``site_optimum`` of every point: a dense grid of t = xi/2 for all
+        points in one evaluation, then one Newton ascent from each point's
+        best cell.  f(s x s) is even in t with period pi, so t folds into
+        [0, pi/2]."""
         coef, q, weights = self.forms
-        grid = np.linspace(0.0, math.pi, SITE_GRID_POINTS)
-        on_grid = _product_vectors(0.5 * grid, 0.5 * grid)
-        values = np.array([_log_overlaps(on_grid, coef[i], None if q is None else q[i], weights)
-                           for i in range(len(coef))])
-        best = np.argmax(values, axis=1)
-        xi, log_lambda = _golden_max(
-            lambda xs: _log_overlaps(_product_vectors(0.5 * xs, 0.5 * xs)[:, None], coef, q, weights)[:, 0],
-            grid[np.maximum(best - 1, 0)],
-            grid[np.minimum(best + 1, SITE_GRID_POINTS - 1)],
-            SITE_XI_TOL,
-        )
-        return xi, log_lambda, grid[best], values[np.arange(len(best)), best]
+        grid = np.linspace(0.0, 0.5 * math.pi, SITE_GRID_POINTS)
+        values = _log_overlaps(_product_vectors(grid, grid), coef, q, weights)
+        log_lambda, t = _newton(_diagonal(coef, q, weights), grid[np.argmax(values, axis=1), None, None])
+        t = np.remainder(t[:, 0, 0], math.pi)
+        return 2.0 * np.minimum(t, math.pi - t), log_lambda[:, 0]
 
     @cached_property
     def af_optima(self) -> tuple[np.ndarray, np.ndarray]:
@@ -593,11 +589,9 @@ def _analysis(target) -> EvenVacuumAnalysis:
 
 def maximize_site(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
     """Geometric entanglement against uniform single-site product states:
-    dense xi grid followed by golden-section refinement."""
+    one Newton ascent in xi from the best cell of a dense xi grid."""
     analysis = _analysis(spec)
-    xi, log_lambda, grid_xi, grid_log_lambda = analysis.site_optimum
-    if grid_log_lambda > log_lambda:
-        xi, log_lambda = grid_xi, grid_log_lambda
+    xi, log_lambda = analysis.site_optimum
     return analysis.result(log_lambda, SiteAnsatz(xi), "per_site")
 
 

@@ -13,6 +13,7 @@ from clusterxy.freefermion import dispersion
 from clusterxy.model import PRESETS
 from clusterxy.entanglement import (
     AF_GRID_POINTS,
+    SITE_GRID_POINTS,
     THERMO_NODES,
     AnalysisBatch,
     EvenVacuumAnalysis,
@@ -43,6 +44,17 @@ def test_overlap_site_odd_sites_rejected():
 def test_overlap_block_trivial():
     angles = np.zeros(4)
     assert cx.overlap_block(angles, cx.BlockAnsatz(1.0, 0.0, 0.0, 0.0), 8) == pytest.approx(1.0)
+
+
+def test_overlaps_reject_wrong_angle_count():
+    # an N-site ring has N/2 vacuum angles: a longer array belongs to another
+    # ring, and truncating it gave an overlap of the wrong state
+    angles = cx.even_vacuum_angles(cx.preset_xny(1, 0.5, 0.8, 16))
+    for wrong in (angles, angles[:3]):
+        with pytest.raises(ValueError, match="need 4 vacuum angles, got"):
+            cx.overlap_site(wrong, 0.7, 8)
+        with pytest.raises(ValueError, match="need 4 vacuum angles, got"):
+            cx.overlap_block(wrong, cx.BlockAnsatz(1.0, 0.0, 0.0, 0.0), 8)
 
 
 def test_overlap_bound_random_angles():
@@ -183,6 +195,90 @@ def test_factorization_circle_cat_structure():
     assert res.eg_total == pytest.approx(1.0, abs=2e-6)
     assert res.density == pytest.approx(1.0 / 64, abs=1e-6)
     assert res.ground_degenerate
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(fun, lo, hi, tol=1e-10):
+    """Golden-section maximum of ``fun`` on [lo, hi], narrowed until the
+    bracket is below ``tol``: (argument, value) at its midpoint."""
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = fun(c), fun(d)
+    while hi - lo > tol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = fun(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = fun(d)
+    mid = 0.5 * (lo + hi)
+    return mid, fun(mid)
+
+
+def reference_site(analysis):
+    """log Lambda of the site family by a dense xi grid and a golden section
+    between the neighbours of its best cell, or that cell when it is higher
+    (an optimum at an endpoint of [0, pi])."""
+    coef, q, weights = analysis.forms
+
+    def values(xis):
+        return _log_overlaps(_product_vectors(xis / 2, xis / 2), coef, q, weights)
+
+    grid = np.linspace(0.0, math.pi, SITE_GRID_POINTS)
+    on_grid = values(grid)
+    best = int(np.argmax(on_grid))
+    _, log_lambda = _golden_max(lambda x: float(values(np.array([x]))[0]),
+                                grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)])
+    return max(on_grid[best], log_lambda)
+
+
+SITE_CASES = {
+    **{f"xzy_h{h}_{n}": cx.preset_xny(1, 0.5, h, n) for n in (64, 66, 1024) for h in (-1.2, 0.3, 0.95, 3.0)},
+    "spt_afm_0.5_256": cx.preset_spt_afm(0.5, 256),
+    "spt_afm_1.2_256": cx.preset_spt_afm(1.2, 256),
+    "ghz_-0.6": cx.preset_ghz_cluster(-0.6, 64),
+    "ghz_0.3": cx.preset_ghz_cluster(0.3, 64),
+    "halfway_0.75": cx.preset_halfway_xy(0.7, 0.75, 256),
+    "free_xi0": cx.preset_free(1.0, 64),
+    "free_xi_pi": cx.preset_free(-1.0, 64),
+    "spt_afm_flat_4": cx.preset_spt_afm(0.0, 4),
+}
+
+
+@pytest.mark.parametrize("spec", SITE_CASES.values(), ids=SITE_CASES.keys())
+def test_maximize_site_matches_golden_section(spec):
+    # the Newton ascent from the best grid cell reaches the golden section's
+    # optimum, at the endpoints xi = 0 and pi (free spins) and on a flat
+    # landscape (spt-afm at lambda = 0, N = 4) too
+    analysis = EvenVacuumAnalysis(spec)
+    want = reference_site(analysis)
+    res = cx.maximize_site(analysis)
+    log_lambda = math.log(res.lambda_max)
+    assert abs(log_lambda - want) <= 1e-12 * max(1.0, abs(want))
+    xi = res.optimum.xi
+    assert 0.0 <= xi <= math.pi
+    overlap = abs(cx.overlap_site(analysis.angles, xi, spec.sites))
+    assert overlap == pytest.approx(res.lambda_max, rel=1e-12)
+
+
+def test_site_grid_is_one_evaluation_per_batch(monkeypatch):
+    # the site grid of a 21-point batch is one order-0 evaluation, and the
+    # refinement is the Newton loop's (order 2); a grid per point and a
+    # golden section made 21 + 44 order-0 calls
+    orders = []
+
+    def counting(*args, **kwargs):
+        orders.append(kwargs.get("order", args[4] if len(args) > 4 else 0))
+        return _log_overlaps(*args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "_log_overlaps", counting)
+    batch = AnalysisBatch([EvenVacuumAnalysis(cx.preset_xny(1, 0.5, float(h), 64))
+                           for h in np.linspace(0.9, 1.1, 21)])
+    batch.site_optima
+    assert orders == [0] + [2] * (len(orders) - 1)
 
 
 def test_maximize_site_matches_oracle():
