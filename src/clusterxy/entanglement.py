@@ -4,9 +4,10 @@ The vacuum of the antiperiodic (even) sector is a paired state
 prod_k [cos(theta_k) + i sin(theta_k) c+_k c+_{N-k-1}] |0>.  Its overlap
 with a uniform two-site-block product state v = (a, b, c, d) is a product
 of quadratic forms in v over momentum pairs, times a linear factor q.v when
-N/2 is odd.  Each form couples a with d and b with c only, so it is five
-coefficients (``pair_forms``).  One evaluator on these block forms serves
-three nested translation-invariant ansatze, site <= period-2 <= block:
+N/2 is odd, which the searches take as one more form, (q.v)^2 at weight 1/2.
+Each form couples a with d and b with c only, so it is five coefficients
+(``pair_forms``).  One evaluator on these block forms serves three nested
+translation-invariant ansatze, site <= period-2 <= block:
 
 * one single-site state s on every site: v = s x s, s = (cos xi/2, sin xi/2);
 * a period-2 product, independent states on the two sites of each block
@@ -156,7 +157,8 @@ def _block_forms(angles, sites: int) -> tuple[np.ndarray, np.ndarray | None]:
 
     Returns (C, q): factor k of the overlap is C[k] . (a^2, ad, d^2, p^2, m^2)
     (see ``pair_forms``), and the leftover unpaired factor (present when N/2
-    is odd) is q.v.
+    is odd) is q.v.  The signed overlap needs q.v itself; the searches take
+    its square as one more form (``EvenVacuumAnalysis.forms``).
     """
     if sites % 2 != 0:
         raise ValueError("block overlap requires an even number of sites")
@@ -190,11 +192,8 @@ def overlap_block(angles, ansatz, sites: int) -> float:
     is odd)."""
     v = _block_amplitudes(ansatz)
     coef, q = _block_forms(angles, sites)
-    factors = _factors(v, coef)
-    total = float(np.prod(factors)) if factors.size else 1.0
-    if q is not None:
-        total *= float(q @ v)
-    return total
+    total = float(np.prod(_factors(v, coef)))
+    return total if q is None else total * float(q @ v)
 
 
 def overlap_site(angles, xi: float, sites: int) -> float:
@@ -234,17 +233,11 @@ def _factors(v, coef) -> np.ndarray:
     return (outer @ _QUAD) @ np.swapaxes(coef, -1, -2)
 
 
-def _unpaired(v, q) -> np.ndarray:
-    """q.v = q_a a + q_d d, elementwise: a matrix product would round
-    differently with the memory layout of ``v``."""
-    return v[..., 0] * q[..., :1] + v[..., 3] * q[..., 3:]
-
-
-def _log_overlaps(v, coef, q, weights, order=0, pairs=None):
-    """sum_k w_k log|f_k| (+ log|q.v|) at every v = (a, b, c, d) along the
-    last axis; a factor below _TINY in magnitude counts as _TINY.  The
-    leading axes of ``coef`` (and ``q``) are batch axes of ``v``'s leading
-    axes, so each point of a batch is its own matrix product.
+def _log_overlaps(v, coef, weights, order=0, pairs=None):
+    """sum_k w_k log|f_k| at every v = (a, b, c, d) along the last axis; a
+    factor below _TINY in magnitude counts as _TINY.  The leading axes of
+    ``coef`` are batch axes of ``v``'s leading axes, so each point of a batch
+    is its own matrix product.
 
     With ``order`` 1 or 2 returns (value, gradient, Hessian or None): with
     c = w/f and B the Jacobian of the monomials, the gradient is B (c @ C)
@@ -255,10 +248,6 @@ def _log_overlaps(v, coef, q, weights, order=0, pairs=None):
     if order:
         f = np.where(mag < _TINY, _TINY, f)
     val = np.log(np.maximum(mag, _TINY, out=mag), out=mag) @ weights
-    if q is not None:
-        qv = _unpaired(v, q)
-        qv = np.where(np.abs(qv) < _TINY, _TINY, qv)
-        val = val + np.log(np.abs(qv))
     if order == 0:
         return val
     c = weights / f
@@ -269,34 +258,28 @@ def _log_overlaps(v, coef, q, weights, order=0, pairs=None):
     if order == 2:
         hess = (gc @ _CURVATURE).reshape(v.shape + (4,))
         hess -= jac @ ((c / f) @ pairs)[..., _SYMMETRIC] @ np.swapaxes(jac, -1, -2)
-    if q is not None:
-        r = q[..., None, :] / qv[..., None]
-        grad += r
-        if order == 2:
-            hess -= r[..., :, None] * r[..., None, :]
     return val, grad, hess
 
 
 # --- one batched ascent over products of quadratic forms ----------------------
 
-def _evaluator(coef, q, weights):
+def _evaluator(coef, weights):
     """``_log_overlaps`` on coefficients ``coef`` (P, K, 5), or (K, 5) for one
     point: evaluate(v, order, points) takes v (len(points), S, 4)."""
     pairs = coef[..., _PAIR_I] * coef[..., _PAIR_J]
 
     def evaluate(v, order, points):
-        return _log_overlaps(v, coef[points], None if q is None else q[points], weights,
-                             order, pairs[points] if order == 2 else None)
+        return _log_overlaps(v, coef[points], weights, order, pairs[points] if order == 2 else None)
 
     return evaluate
 
 
-def _sphere(coef, q, weights):
+def _sphere(coef, weights):
     """(derivs, retract) over the amplitude sphere: ``derivs(x, order)``
     gives, at u = x/|x|, the value, the Riemannian gradient P g / |x| (a
     polish from an unnormalized x sees the scale-invariant gradient) and, at
     order 2, the Riemannian Hessian P H P - (u.g) P, with P = I - u u^T."""
-    evaluate = _evaluator(coef, q, weights)
+    evaluate = _evaluator(coef, weights)
 
     def derivs(x, order, points=slice(None)):
         norm = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -318,12 +301,12 @@ _TANGENTS = np.hstack([np.kron(_TURN, np.eye(2)).T, np.kron(np.eye(2), _TURN).T]
 _MIXED = np.kron(_TURN, _TURN).T
 
 
-def _torus(coef, q, weights):
+def _torus(coef, weights):
     """(derivs, retract) of the period-2 objective in t = (t1, t2), the
     log-overlap at v = a x b.  With J = [a' x b, a x b'] the gradient is
     J^T g; the Hessian is J^T H J plus -g.v on the diagonal (a'' = -a,
     b'' = -b) and g.(a' x b') off it."""
-    evaluate = _evaluator(coef, q, weights)
+    evaluate = _evaluator(coef, weights)
 
     def derivs(t, order, points=slice(None)):
         v = _product_vectors(t[..., 0], t[..., 1])
@@ -339,11 +322,11 @@ def _torus(coef, q, weights):
     return derivs, lambda t, step: t + step
 
 
-def _diagonal(coef, q, weights):
+def _diagonal(coef, weights):
     """(derivs, retract) of the site objective in t = xi/2, shaped (..., 1):
     the period-2 objective (``_torus``) at t1 = t2 = t, so its gradient is
     g1 + g2 and its Hessian the sum of the torus Hessian's entries."""
-    torus, _ = _torus(coef, q, weights)
+    torus, _ = _torus(coef, weights)
 
     def derivs(t, order, points=slice(None)):
         val, g, h = torus(np.concatenate([t, t], axis=-1), order, points)
@@ -414,7 +397,7 @@ def _ascend(problem, starts):
     return best_val, best_x
 
 
-def _maximize_on_sphere(coef, q, weights, starts):
+def _maximize_on_sphere(coef, weights, starts):
     """Ascent over the amplitude sphere from the starts (P, S, 4) of each
     point's coefficients ``coef``; returns the best log values and unit vectors."""
     x = np.array(starts, dtype=float)
@@ -422,11 +405,9 @@ def _maximize_on_sphere(coef, q, weights, starts):
     # a Newton step only doubles a vanishing factor, so a start on one stays
     # active for every iteration; nudge off it
     clamped = np.any(np.abs(_factors(x, coef)) < 1e-100, axis=-1)
-    if q is not None:
-        clamped |= np.abs(_unpaired(x, q)) < 1e-100
     x[clamped] += 0.05
     x[clamped] /= np.linalg.norm(x[clamped], axis=-1, keepdims=True)
-    best_val, best_v = _ascend(_sphere(coef, q, weights), x)
+    best_val, best_v = _ascend(_sphere(coef, weights), x)
     best_v /= np.linalg.norm(best_v, axis=-1, keepdims=True)
     return best_val, np.array([_canonical_sign(v) for v in best_v])
 
@@ -455,7 +436,7 @@ def _block_starts(embedded: list[np.ndarray]) -> list[np.ndarray]:
 
 # --- period-2 grid starts ---------------------------------------------------
 
-def _af_grid_starts(coef, q, weights) -> list[np.ndarray]:
+def _af_grid_starts(coef, weights) -> list[np.ndarray]:
     """The AF_GRID_STARTS best cells of a coarse (t1, t2) scan of one
     point's period-2 objective, best first.  f(a x b) = f(b x a), so the
     cells with t1 <= t2 are evaluated and mirrored."""
@@ -463,7 +444,7 @@ def _af_grid_starts(coef, q, weights) -> list[np.ndarray]:
     upper = np.triu_indices(AF_GRID_POINTS)
     vals = np.empty((AF_GRID_POINTS, AF_GRID_POINTS))
     vals[upper] = vals[upper[::-1]] = _log_overlaps(
-        _product_vectors(grid[upper[0]], grid[upper[1]]), coef, q, weights)
+        _product_vectors(grid[upper[0]], grid[upper[1]]), coef, weights)
     order = np.argsort(vals.ravel())[::-1][:AF_GRID_STARTS]
     return [np.array([grid[i // AF_GRID_POINTS], grid[i % AF_GRID_POINTS]]) for i in order]
 
@@ -501,11 +482,17 @@ class EvenVacuumAnalysis:
         return even_vacuum_angles(self.spec)
 
     @cached_property
-    def forms(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """(C, q, weights): the block overlap's pair coefficients and
-        unpaired factor (see ``_block_forms``) with unit weights."""
+    def forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C, weights): the block overlap's pair coefficients (see
+        ``_block_forms``) at unit weights and, when N/2 is odd, the row
+        (q_a^2, 2 q_a q_d, q_d^2, 0, 0) of (q.v)^2, the pair form at mu = pi/2,
+        at weight 1/2: log|q.v| = 1/2 log (q.v)^2."""
         coef, q = _block_forms(self.angles, self.sites)
-        return coef, q, np.ones(coef.shape[0])
+        weights = np.ones(coef.shape[0])
+        if q is not None:
+            coef = np.vstack([coef, [q[0] * q[0], 2.0 * q[0] * q[3], q[3] * q[3], 0.0, 0.0]])
+            weights = np.append(weights, 0.5)
+        return coef, weights
 
     def solved(self, search: str) -> tuple:
         """This point's entry of each array of its batch's ``search``."""
@@ -544,10 +531,10 @@ class AnalysisBatch:
             analysis.batch, analysis.slot = self, slot
 
     @cached_property
-    def forms(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """The forms stacked: C (P, K, 5), q (P, 4) or None, weights."""
-        coef, q, weights = zip(*(analysis.forms for analysis in self.analyses))
-        return np.stack(coef), None if q[0] is None else np.stack(q), weights[0]
+    def forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The forms stacked: C (P, K, 5) and the points' common weights."""
+        coef, weights = zip(*(analysis.forms for analysis in self.analyses))
+        return np.stack(coef), weights[0]
 
     @cached_property
     def site_optima(self) -> tuple[np.ndarray, np.ndarray]:
@@ -555,10 +542,10 @@ class AnalysisBatch:
         points in one evaluation, then one Newton ascent from each point's
         best cell.  f(s x s) is even in t with period pi, so t folds into
         [0, pi/2]."""
-        coef, q, weights = self.forms
+        coef, weights = self.forms
         grid = np.linspace(0.0, 0.5 * math.pi, SITE_GRID_POINTS)
-        values = _log_overlaps(_product_vectors(grid, grid), coef, q, weights)
-        log_lambda, t = _newton(_diagonal(coef, q, weights), grid[np.argmax(values, axis=1), None, None])
+        values = _log_overlaps(_product_vectors(grid, grid), coef, weights)
+        log_lambda, t = _newton(_diagonal(coef, weights), grid[np.argmax(values, axis=1), None, None])
         t = np.remainder(t[:, 0, 0], math.pi)
         return 2.0 * np.minimum(t, math.pi - t), log_lambda[:, 0]
 
@@ -652,10 +639,10 @@ def thermo_block_density(spec: ModelSpec) -> float:
         return pair_forms(theta[:mu.size], theta[mu.size:], mu)
 
     mu, weights = _thermo_rule()
-    (log_integral,), (v,) = _maximize_on_sphere(forms(mu)[None], None, weights, [_block_starts([])])
+    (log_integral,), (v,) = _maximize_on_sphere(forms(mu)[None], weights, [_block_starts([])])
 
     value, abserr = quad(
-        lambda x: float(_log_overlaps(v, forms(np.array([x])), None, np.ones(1))),
+        lambda x: float(_log_overlaps(v, forms(np.array([x])), np.ones(1))),
         0.0, 0.5 * math.pi, epsabs=THERMO_QUAD_TOL, epsrel=0.0, limit=400, full_output=True,
     )[:2]
     if abserr > 100.0 * max(THERMO_QUAD_TOL, abs(value) * 1e-12):

@@ -39,6 +39,8 @@ class BlockSpec:
     def __post_init__(self):
         if not isinstance(self.kind, BlockKind):
             object.__setattr__(self, "kind", BlockKind(self.kind))
+        # x + 0.0 turns -0.0 into 0.0, so the model echo prints no "-0.0"
+        object.__setattr__(self, "strength", self.strength + 0.0)
         if not math.isfinite(self.strength):
             raise ValueError(f"block strength must be finite, got {self.strength}")
         if self.mediators < 0:
@@ -56,6 +58,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.sites < 2:
             raise ValueError(f"sites must be >= 2, got {self.sites}")
+        object.__setattr__(self, "field", self.field + 0.0)  # no -0.0, as for strength
         if not math.isfinite(self.field):
             raise ValueError(f"field must be finite, got {self.field}")
         object.__setattr__(self, "blocks", tuple(self.blocks))

@@ -1,10 +1,11 @@
-"""Dump and compare every cell of a fixed set of ``ent-scan`` outputs, to
-show how far a change to the maximizers moves their values.
+"""Dump and compare every cell of a fixed set of ``ent-scan``, ``thermo``
+and ``check`` outputs, to show how far a change to the maximizers moves their
+values.
 
-The set is the four ent golden requests of ``test_golden.py`` and the
-``ent_scan`` requests of the benchmark's default-seed reference
-(``perfbench/reference.json``, read only).  Dump it once per tree, then
-compare the two dumps:
+The set is the ent and thermo golden requests and ``check_json`` of
+``test_golden.py``, then the ``ent_scan`` and ``thermo_scan`` requests of the
+benchmark's default-seed reference (``perfbench/reference.json``, read only).
+Dump it once per tree, then compare the two dumps:
 
     PYTHONPATH=<old tree>/src python tests/compare_outputs.py --dump old.json
     PYTHONPATH=src python tests/compare_outputs.py --dump new.json
@@ -13,7 +14,7 @@ compare the two dumps:
 ``--compare`` prints, per request and column, the cells that moved, the
 largest absolute and relative move, and how many moved outside the
 benchmark's reference tolerance REF_ATOL + REF_RTOL * |old|, read from
-``perfbench/checks.py``; then the same per column over all requests.
+``perfbench/checks.py``; then the same per verb and column over all requests.
 pytest does not collect this file.
 """
 
@@ -40,13 +41,20 @@ def _checks():
     return checks
 
 
+GOLDEN_CASES = [name for name, argv in CASES.items()
+                if argv[0] in ("ent-scan", "thermo")] + ["check_json"]
+REFERENCE_WORKLOADS = ("ent_scan", "thermo_scan")
+
+
 def requests() -> dict[str, list[str]]:
-    """Request name -> argv: the ent goldens, then the reference's ent_scan
-    requests in their recorded order."""
-    named = {name: argv for name, argv in CASES.items() if argv[0] == "ent-scan"}
+    """Request name -> argv: the ent and thermo goldens and ``check_json``,
+    then the reference's ent_scan and thermo_scan requests in their recorded
+    order."""
+    named = {name: CASES[name] for name in GOLDEN_CASES}
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
-    for i, entry in enumerate(reference["workloads"]["ent_scan"]):
-        named[f"ent_scan[{i}]"] = entry["argv"]
+    for workload in REFERENCE_WORKLOADS:
+        for i, entry in enumerate(reference["workloads"][workload]):
+            named[f"{workload}[{i}]"] = entry["argv"]
     return named
 
 
@@ -117,14 +125,14 @@ def compare(old_path: str, new_path: str) -> None:
         lines = []
         for j, column in enumerate(want["columns"]):
             moves = Moves()
-            total = totals.setdefault(column, Moves())
+            total = totals.setdefault(f"{want['argv'][0]} {column}", Moves())
             for g, w in zip(got["rows"], want["rows"]):
                 moves.add(w[j], g[j], checks.REF_ATOL, checks.REF_RTOL)
                 total.add(w[j], g[j], checks.REF_ATOL, checks.REF_RTOL)
             if moves.moved:
                 lines.append(moves.line(f"{name}: {column}"))
         print("\n".join(lines) or f"{name}: identical")
-    print(f"all {len(old)} requests, per column "
+    print(f"all {len(old)} requests, per verb and column "
           f"(reference tolerance {checks.REF_ATOL:g} + {checks.REF_RTOL:g} |old|):")
     for column, total in totals.items():
         print("  " + total.line(column))

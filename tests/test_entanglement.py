@@ -97,11 +97,11 @@ def test_block_reduces_to_site():
 def test_af_gradient_matches_central_differences(spec):
     # the ascent's gradients and Hessians against central differences: in t
     # on the period-2 torus, and along tangent geodesics of the sphere
-    coef, q, weights = EvenVacuumAnalysis(spec).forms
-    assert (q is not None) == (spec.sites % 4 != 0)
+    coef, weights = EvenVacuumAnalysis(spec).forms
+    assert (weights[-1] == 0.5) == (spec.sites % 4 != 0)
     rng = np.random.default_rng(61)
     step = 1e-6
-    derivs, _ = _torus(coef, q, weights)
+    derivs, _ = _torus(coef, weights)
     for t in rng.uniform(0.0, math.pi, size=(3, 2)):
         _, grad, hess = derivs(t[None], 2)
         for e, g_i, h_i in zip(np.eye(2), grad[0], hess[0]):
@@ -109,7 +109,7 @@ def test_af_gradient_matches_central_differences(spec):
             assert abs((val[0] - val[1]) / (2 * step) - g_i) <= 1e-7 * np.linalg.norm(grad)
             assert np.linalg.norm((g[0] - g[1]) / (2 * step) - h_i) <= 1e-6 * np.linalg.norm(hess)
 
-    derivs, _ = _sphere(coef, q, weights)
+    derivs, _ = _sphere(coef, weights)
     s = 1e-4
     for u, e in rng.normal(size=(3, 2, 4)):
         u /= np.linalg.norm(u)
@@ -222,10 +222,10 @@ def reference_site(analysis):
     """log Lambda of the site family by a dense xi grid and a golden section
     between the neighbours of its best cell, or that cell when it is higher
     (an optimum at an endpoint of [0, pi])."""
-    coef, q, weights = analysis.forms
+    coef, weights = analysis.forms
 
     def values(xis):
-        return _log_overlaps(_product_vectors(xis / 2, xis / 2), coef, q, weights)
+        return _log_overlaps(_product_vectors(xis / 2, xis / 2), coef, weights)
 
     grid = np.linspace(0.0, math.pi, SITE_GRID_POINTS)
     on_grid = values(grid)
@@ -271,7 +271,7 @@ def test_site_grid_is_one_evaluation_per_batch(monkeypatch):
     orders = []
 
     def counting(*args, **kwargs):
-        orders.append(kwargs.get("order", args[4] if len(args) > 4 else 0))
+        orders.append(kwargs.get("order", args[3] if len(args) > 3 else 0))
         return _log_overlaps(*args, **kwargs)
 
     monkeypatch.setattr(entanglement, "_log_overlaps", counting)
@@ -413,11 +413,12 @@ def reference_maxima(analysis):
     period-2 grid cells plus the embedded site optimum, then the block starts
     seeded with the site optimum and that period-2 optimum, each start on a
     vanishing factor nudged off it."""
-    coef, q, weights = analysis.forms
-    m, _ = reference_matrices(analysis.angles, analysis.sites)
+    coef, weights = analysis.forms
+    m, q = reference_matrices(analysis.angles, analysis.sites)
+    unit = np.ones(m.shape[0])
     xi = analysis.site_optimum[0]
-    af = lambda t: reference_af_value_grad(t, m, q, weights)  # noqa: E731
-    af_log, t = reference_ascent(af, _af_grid_starts(coef, q, weights) + [np.array([xi / 2, xi / 2])])
+    af = lambda t: reference_af_value_grad(t, m, q, unit)  # noqa: E731
+    af_log, t = reference_ascent(af, _af_grid_starts(coef, weights) + [np.array([xi / 2, xi / 2])])
     starts = []
     for x in _block_starts([_product_vectors(xi / 2, xi / 2), _product_vectors(*t)]):
         x = x / np.linalg.norm(x)
@@ -426,7 +427,7 @@ def reference_maxima(analysis):
         ):
             x = (x + 0.05) / np.linalg.norm(x + 0.05)
         starts.append(x)
-    block_log = reference_ascent(lambda v: reference_value_grad(v, m, q, weights), starts)[0]
+    block_log = reference_ascent(lambda v: reference_value_grad(v, m, q, unit), starts)[0]
     return af_log, block_log
 
 
@@ -441,6 +442,39 @@ def reference_cases():
         yield "ghz-cluster", cx.preset_ghz_cluster(value, 256)
     for value in (0.75, 0.9):
         yield "halfway-xy", cx.preset_halfway_xy(0.7, value, 256)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [cx.preset_spt_afm(0.3, 10), cx.preset_ghz_cluster(0.3, 66), cx.preset_xny(2, 0.5, 0.4, 258)],
+    ids=["spt_afm_10", "ghz_66", "x2y_258"],
+)
+def test_unpaired_factor_is_a_half_weight_row(spec):
+    # at N = 2 mod 4 the searches see the unpaired factor q.v as the row of
+    # (q.v)^2 at weight 1/2: on the sphere it adds to the value and gradient
+    # what the explicit log|q.v| adds on the 4x4 forms, and exp(value) is
+    # |overlap|.  Comparing what the row adds leaves out the rounding by which
+    # the five coefficients and the 4x4 forms differ near a vanishing factor
+    analysis = EvenVacuumAnalysis(spec)
+    coef, weights = analysis.forms
+    m, q = reference_matrices(analysis.angles, spec.sites)
+    assert coef.shape[0] == m.shape[0] + 1 and weights[-1] == 0.5
+    # a and d both matter, so a row without the 2 on ad is seen
+    assert abs(q[0] * q[3]) > 1e-3
+    full, paired = _sphere(coef, weights)[0], _sphere(coef[:-1], weights[:-1])[0]
+    unit = np.ones(m.shape[0])
+    rng = np.random.default_rng(spec.sites)
+    for u in rng.normal(size=(20, 4)):
+        u /= np.linalg.norm(u)
+        (val,), (grad,), _ = full(u[None, None], 1)
+        (val0,), (grad0,), _ = paired(u[None, None], 1)
+        (with_q, with_q_grad), (without_q, without_q_grad) = (
+            reference_value_grad(u, m, factor, unit) for factor in (q, None))
+        want, want_grad = with_q - without_q, with_q_grad - without_q_grad
+        assert val[0] - val0[0] == pytest.approx(want, abs=1e-12)
+        assert np.linalg.norm(grad[0] - grad0[0] - want_grad) <= 1e-12 * max(1.0, np.linalg.norm(grad))
+        overlap = abs(cx.overlap_block(analysis.angles, u, spec.sites))
+        assert math.exp(val[0]) == pytest.approx(overlap, rel=1e-12)
 
 
 def test_batched_ascent_matches_per_start_lbfgsb():
@@ -579,11 +613,11 @@ def test_size_batch_call_counts(monkeypatch):
 )
 def test_af_half_grid_matches_full_grid(spec):
     # f(a x b) = f(b x a): the grid is evaluated on t1 <= t2 and mirrored
-    coef, q, weights = EvenVacuumAnalysis(spec).forms
+    coef, weights = EvenVacuumAnalysis(spec).forms
     grid = np.linspace(0.0, math.pi, AF_GRID_POINTS, endpoint=False)
     tt1, tt2 = np.meshgrid(grid, grid, indexing="ij")
-    full = _log_overlaps(_product_vectors(tt1, tt2), coef, q, weights).max()
-    best = _log_overlaps(_product_vectors(*_af_grid_starts(coef, q, weights)[0]), coef, q, weights)
+    full = _log_overlaps(_product_vectors(tt1, tt2), coef, weights).max()
+    best = _log_overlaps(_product_vectors(*_af_grid_starts(coef, weights)[0]), coef, weights)
     assert best == pytest.approx(full, rel=1e-12, abs=1e-12)
 
 

@@ -54,6 +54,15 @@ def test_make_model_non_finite():
         cx.make_model(4, 0.0, [("x", 1.0, -1)])
 
 
+def test_zero_couplings_are_unsigned():
+    # a coupling or field computed as -0.0 is stored as 0.0, so the model
+    # echo of the CLI never prints "-0.0"
+    spec = cx.make_model(8, -0.0, [("y", -0.0, 0)])
+    assert str(spec.field) == str(spec.blocks[0].strength) == "0.0"
+    for spec in (cx.preset_spt_afm(0.0, 8), cx.preset_ghz_cluster(1.0, 8), cx.preset_ghz_cluster(-1.0, 8)):
+        assert "-0.0" not in json.dumps(cx.model_to_dict(spec))
+
+
 def test_preset_xnmy_ising_limit():
     # n = m = 0, r = 1 is the transverse-field Ising chain
     spec = cx.preset_xnmy(0, 0, 1.0, 0.5, 8)
