@@ -120,7 +120,7 @@ class Scan:
             shown = {key: self.params[key] for key in self.preset.parameters}
             model = {"preset": args.model, "parameters": shown}
             nominal = 8
-            source, reads = f"preset {args.model!r}", self.preset.parameters + self.preset.switches
+            source, reads = f"preset {args.model!r}", self.preset.parameters
         else:
             raise ValueError(f"unknown preset {args.model!r}; see `clusterxy presets`")
         unread = [f"--{key}" for key in given if key not in reads]
@@ -136,8 +136,9 @@ class Scan:
             raise ValueError(
                 f"cannot sweep {param!r} for this model; valid parameters: {', '.join(valid)}"
             )
-        if param in ("n", "m") and self.params.get("halfway"):
-            raise ValueError(f"cannot sweep {param!r} with --halfway, which sets the spans to sites/2 - 1")
+        spans = [key for key in ("n", "m") if key in given or key == param]
+        if spans and self.params.get("halfway"):
+            raise ValueError(f"cannot give or sweep {spans[0]!r} with --halfway, which sets the spans to sites/2 - 1")
         self.param = param
         self.key = "h" if param == "field" else param
         if self.key in given:

@@ -88,16 +88,14 @@ def check_model(
         return rows
 
     ground = exact_ground_state(ham)
-    sign = -1.0 if flip_theta_sign else 1.0
+    angles = (-1.0 if flip_theta_sign else 1.0) * even_vacuum_angles(spec)
 
-    recon = reconstruct_even_vacuum(spec, angle_sign=sign)
-    fid = abs(np.vdot(ground, recon))
+    fid = abs(np.vdot(ground, reconstruct_even_vacuum(angles)))
     rows.append(
         CheckRow(name, spec.sites, parameter, "state_fidelity", 1.0 - fid, FIDELITY_TOL, 1.0 - fid <= FIDELITY_TOL)
     )
 
     rng = rng or np.random.default_rng(1234)
-    angles = sign * even_vacuum_angles(spec)
     err_site = 0.0
     for xi in rng.uniform(0.0, np.pi, size=OVERLAP_SAMPLES):
         closed = abs(overlap_site(angles, float(xi), spec.sites))

@@ -130,6 +130,21 @@ class EntanglementResult:
     ground_degenerate: bool = False
 
 
+def entanglement_result(log_lambda: float, sites: int, optimum, mode: str,
+                        ground_degenerate: bool = False) -> EntanglementResult:
+    """The result of a maximal overlap Lambda = exp(``log_lambda``) on
+    ``sites`` sites: E = -2 log2 Lambda in total and E/N per site."""
+    eg_total = _unsigned_zero(-2.0 * log_lambda / _LN2)
+    return EntanglementResult(
+        lambda_max=math.exp(log_lambda),
+        eg_total=eg_total,
+        density=eg_total / sites,
+        optimum=optimum,
+        mode=mode,
+        ground_degenerate=ground_degenerate,
+    )
+
+
 # --- overlaps on the block forms ---------------------------------------------
 
 def pair_forms(t1, t2, mu) -> np.ndarray:
@@ -504,17 +519,6 @@ class EvenVacuumAnalysis:
         """(xi, log Lambda) of the site family, xi in [0, pi]."""
         return tuple(float(x) for x in self.solved("site_optima"))
 
-    def result(self, log_lambda: float, optimum, mode: str) -> EntanglementResult:
-        eg_total = _unsigned_zero(-2.0 * log_lambda / _LN2)
-        return EntanglementResult(
-            lambda_max=math.exp(log_lambda),
-            eg_total=eg_total,
-            density=eg_total / self.sites,
-            optimum=optimum,
-            mode=mode,
-            ground_degenerate=self.report.degenerate,
-        )
-
 
 class AnalysisBatch:
     """Even-vacuum analyses of one size whose searches each advance all
@@ -579,7 +583,8 @@ def maximize_site(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
     one Newton ascent in xi from the best cell of a dense xi grid."""
     analysis = _analysis(spec)
     xi, log_lambda = analysis.site_optimum
-    return analysis.result(log_lambda, SiteAnsatz(xi), "per_site")
+    return entanglement_result(log_lambda, analysis.sites, SiteAnsatz(xi), "per_site",
+                               analysis.report.degenerate)
 
 
 def maximize_block(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
@@ -589,7 +594,8 @@ def maximize_block(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
     optima."""
     analysis = _analysis(spec)
     log_lambda, v = analysis.solved("block_results")
-    return analysis.result(float(log_lambda), BlockAnsatz(*(float(x) for x in v)), "per_block")
+    return entanglement_result(float(log_lambda), analysis.sites, BlockAnsatz(*(float(x) for x in v)),
+                               "per_block", analysis.report.degenerate)
 
 
 def maximize_site_af(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
@@ -600,7 +606,8 @@ def maximize_site_af(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult
     analysis = _analysis(spec)
     log_lambda, t = analysis.solved("af_optima")
     v = _canonical_sign(_product_vectors(*t))
-    return analysis.result(float(log_lambda), BlockAnsatz(*(float(x) for x in v)), "per_site_af")
+    return entanglement_result(float(log_lambda), analysis.sites, BlockAnsatz(*(float(x) for x in v)),
+                               "per_site_af", analysis.report.degenerate)
 
 
 # --- thermodynamic limit ------------------------------------------------------

@@ -190,14 +190,12 @@ def _build_xny(params: dict, sites: int) -> ModelSpec:
 
 @dataclass(frozen=True)
 class Preset:
-    """A named model family: the parameters it lists, a one-line
-    description, its builder(parameters, sites), and the unlisted switches
-    the builder also reads."""
+    """A named model family: the parameters its builder reads, a one-line
+    description, and its builder(parameters, sites)."""
 
     parameters: tuple[str, ...]
     description: str
     build: Callable[[dict, int], ModelSpec]
-    switches: tuple[str, ...] = ()
 
 
 #: The preset families by name, in listing order.
@@ -215,7 +213,7 @@ PRESETS: dict[str, Preset] = {
         lambda p, n: preset_xny(1, p["r"], p["h"], n),
     ),
     "xny": Preset(
-        ("n", "m", "r", "h"), "XY chain with n (and m) mediating Z's", _build_xny, ("halfway",)
+        ("n", "m", "r", "h", "halfway"), "XY chain with n (and m) mediating Z's", _build_xny
     ),
     "halfway-xy": Preset(
         ("r", "h"), "XY chain with interactions spanning half the ring",

@@ -2,8 +2,8 @@
 fermion-parity blocks of the spin basis, plus a gradient search for the best
 product-state overlap of any state vector, on tensor contractions.
 
-Everything here is deliberately independent of the free-fermion machinery so
-the two can cross-check each other at small system sizes.  Basis convention:
+Nothing here reads the free-fermion solver, which it checks at small sizes:
+the vacuum is rebuilt from the Bogoliubov angles it is given.  Basis convention:
 site 0 is the most significant qubit and spin-up maps to bit 0, so the
 all-up state is basis index 0 (the Jordan-Wigner fermion vacuum).
 """
@@ -17,8 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .model import ModelSpec, PauliString, to_pauli_strings
-from .freefermion import Sector, _mode_arrays
-from .entanglement import EntanglementResult, _unsigned_zero
+from .entanglement import entanglement_result
 
 #: Dense diagonalization is capped here; two 2^13 x 2^13 parity blocks are
 #: the largest worth building at desk scale.
@@ -156,21 +155,18 @@ def exact_ground_state(op: DenseOperator) -> np.ndarray:
 
 # --- even-vacuum reconstruction in the spin basis ---------------------------
 
-def reconstruct_even_vacuum(spec: ModelSpec, angle_sign: float = 1.0) -> np.ndarray:
-    """Even-sector Bogoliubov vacuum expanded in the spin basis.
+def reconstruct_even_vacuum(angles: np.ndarray) -> np.ndarray:
+    """Even-sector Bogoliubov vacuum of N = 2 len(angles) sites, in the spin basis.
 
     Applies prod_{k < N/2} [cos(theta_k) + i sin(theta_k) c+_k c+_{N-k-1}]
-    to the all-up state, with momentum operators built from the Jordan-
-    Wigner images c+_j = (prod_{l<j} Z_l) |down><up|_j: a bit flip with the
-    sign of the popcount of the sites before j.  ``angle_sign`` exists so
-    cross-check harnesses can feed a deliberately corrupted angle convention.
+    to the all-up state, theta_k = angles[k], with momentum operators built
+    from the Jordan-Wigner images c+_j = (prod_{l<j} Z_l) |down><up|_j: a bit
+    flip with the sign of the popcount of the sites before j.
     """
-    n = spec.sites
-    if n % 2 != 0:
-        raise ValueError("even-vacuum reconstruction requires even sites")
+    theta = np.asarray(angles, dtype=float)
+    n = 2 * len(theta)
     if n > MAX_DENSE_SITES:
         raise ValueError(f"reconstruction capped at {MAX_DENSE_SITES} sites")
-    theta = angle_sign * _mode_arrays(spec, Sector.EVEN).theta[: n // 2]
     dim = 2**n
     basis = np.arange(dim)
     raising = []  # per site j: (states with j up, the same with j down, JW sign)
@@ -201,50 +197,26 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.multiply.outer(a, b).ravel()
 
 
-def site_product_state(n: int, amplitudes: np.ndarray) -> np.ndarray:
-    """(a|up> + b|down>)^{tensor N} in the full basis."""
-    one = np.asarray(amplitudes, dtype=complex)
-    if one.shape != (2,):
-        raise ValueError("site ansatz needs 2 amplitudes")
-    return reduce(_kron, [one] * n)
-
-
-def block_product_state(n: int, amplitudes: np.ndarray) -> np.ndarray:
-    """Identical two-site blocks (a,b,c,d) tensored over N/2 blocks."""
-    blk = np.asarray(amplitudes, dtype=complex)
-    if blk.shape != (4,):
-        raise ValueError("block ansatz needs 4 amplitudes")
-    if n % 2 != 0:
-        raise ValueError("block ansatz requires even sites")
-    return reduce(_kron, [blk] * (n // 2))
-
-
 def direct_overlap(state: np.ndarray, ansatz) -> float:
-    """|<product ansatz | state>| by full-basis expansion.
+    """|<product ansatz | state>| by full-basis expansion of v^{tensor L}.
 
     ``ansatz`` is a SiteAnsatz, a BlockAnsatz, or a raw amplitude array of
-    length 2 (per site) or 4 (per two-site block).
+    length 2 (one leg per site) or 4 (one leg per two-site block).
     """
-    amps = getattr(ansatz, "amplitudes", None)
-    if amps is None:
-        amps = np.asarray(ansatz, dtype=complex)
-    else:
-        amps = np.asarray(amps, dtype=complex)
+    amps = np.asarray(getattr(ansatz, "amplitudes", ansatz), dtype=complex)
     dim = state.shape[0]
     n = int(round(np.log2(dim)))
     if 2**n != dim:
         raise ValueError("state length is not a power of two")
-    if amps.shape == (2,):
-        phi = site_product_state(n, amps)
-    elif amps.shape == (4,):
-        phi = block_product_state(n, amps)
-    else:
+    if amps.shape not in ((2,), (4,)):
         raise ValueError("ansatz must carry 2 or 4 amplitudes")
+    if amps.shape == (4,) and n % 2:
+        raise ValueError("block ansatz requires even sites")
     norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise ValueError("ansatz amplitudes are all zero")
-    power = n if amps.shape == (2,) else n // 2
-    return float(abs(np.vdot(phi, state)) / norm**power)
+    legs = n if amps.shape == (2,) else n // 2
+    return float(abs(np.vdot(reduce(_kron, [amps] * legs), state)) / norm**legs)
 
 
 def _product_contraction(state: np.ndarray, v: np.ndarray) -> tuple[complex, np.ndarray]:
@@ -312,7 +284,4 @@ def brute_max_overlap(state: np.ndarray, kind: str, complex_amplitudes: bool = T
                key=lambda res: res.fun)
     amps = reduce(_kron, amplitudes(best.x))
     amps = amps / np.linalg.norm(amps)
-    lam = direct_overlap(state, amps)
-    eg_total = _unsigned_zero(-2.0 * np.log2(max(lam, 1e-300)))
-    return EntanglementResult(lambda_max=lam, eg_total=eg_total, density=eg_total / n,
-                              optimum=amps, mode=mode)
+    return entanglement_result(np.log(max(direct_overlap(state, amps), 1e-300)), n, amps, mode)

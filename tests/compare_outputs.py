@@ -1,11 +1,13 @@
 """Dump and compare every cell of a fixed set of ``ent-scan``, ``thermo``
-and ``check`` outputs, to show how far a change to the maximizers moves their
-values.
+and ``check`` outputs, to show how far a change to the maximizers or the
+oracle moves their values.
 
 The set is the ent and thermo golden requests and ``check_json`` of
-``test_golden.py``, then the ``ent_scan`` and ``thermo_scan`` requests of the
-benchmark's default-seed reference (``perfbench/reference.json``, read only).
-Dump it once per tree, then compare the two dumps:
+``test_golden.py``, then the ``ent_scan``, ``thermo_scan`` and
+``oracle_check`` requests of the benchmark's default-seed reference
+(``perfbench/reference.json``, read only).  The check requests run with
+``--format json``, which prints every error cell; their plain output is a
+pass count.  Dump it once per tree, then compare the two dumps:
 
     PYTHONPATH=<old tree>/src python tests/compare_outputs.py --dump old.json
     PYTHONPATH=src python tests/compare_outputs.py --dump new.json
@@ -43,18 +45,19 @@ def _checks():
 
 GOLDEN_CASES = [name for name, argv in CASES.items()
                 if argv[0] in ("ent-scan", "thermo")] + ["check_json"]
-REFERENCE_WORKLOADS = ("ent_scan", "thermo_scan")
+REFERENCE_WORKLOADS = ("ent_scan", "thermo_scan", "oracle_check")
 
 
 def requests() -> dict[str, list[str]]:
     """Request name -> argv: the ent and thermo goldens and ``check_json``,
-    then the reference's ent_scan and thermo_scan requests in their recorded
-    order."""
+    then the reference's ent_scan, thermo_scan and oracle_check requests in
+    their recorded order, the check requests as JSON tables."""
     named = {name: CASES[name] for name in GOLDEN_CASES}
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     for workload in REFERENCE_WORKLOADS:
         for i, entry in enumerate(reference["workloads"][workload]):
-            named[f"{workload}[{i}]"] = entry["argv"]
+            argv = entry["argv"]
+            named[f"{workload}[{i}]"] = argv + ["--format", "json"] if argv[0] == "check" else argv
     return named
 
 

@@ -8,6 +8,7 @@ checks and the ansatz-nesting check).
 
 import math
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def test_criterion_07_factorization_circle_density(circle_point_result):
         doublets = doublets and ground_space.shape[1] == 2
         for sign in (1.0, -1.0):
             amps = np.array([math.cos(xi_f / 2.0), sign * math.sin(xi_f / 2.0)])
-            product = cx.oracle.site_product_state(n, amps)
+            product = reduce(np.kron, [amps] * n)
             energy = np.vdot(product, ham @ product).real
             projected = ground_space @ (ground_space.conj().T @ product)
             weight = np.linalg.norm(projected)

@@ -310,16 +310,21 @@ def test_model_file_rejects_fractional_sizes(tmp_path, capsys):
 
 def test_halfway_rejects_span_sweep(capsys):
     # --halfway fixes n = m = sites/2 - 1, so a sweep of either would print
-    # identical rows
+    # identical rows, and a given --n or --m would be echoed but not built
     base = ["gap-scan", "--model", "xny", "--halfway", "--r", "0.5", "--sites", "8"]
-    for sweep in ("n:0:2:1", "m:0:2:1"):
-        code, out, err = run_cli(base + ["--sweep", sweep], capsys)
-        assert code == 2, sweep
+    for extra in (["--sweep", "n:0:2:1"], ["--sweep", "m:0:2:1"],
+                  ["--n", "3", "--m", "2", "--sweep", "h:0:1:0.5"],
+                  ["--m", "2", "--sweep", "h:0:1:0.5"]):
+        code, out, err = run_cli(base + extra, capsys)
+        assert code == 2, extra
         assert "--halfway" in err and out == ""
     code, out, _ = run_cli(base + ["--sweep", "h:0:1:0.5"], capsys)
     assert code == 0
     _, rows = parse_csv(out)
     assert len(rows) == 3
+    # the echo carries the switch, so it differs from the request without it
+    request = json.loads(out.splitlines()[1].removeprefix("# request: "))
+    assert request["model"]["parameters"]["halfway"] is True
 
 
 def test_validation_errors_exit_2(capsys):

@@ -1,3 +1,5 @@
+import inspect
+import sys
 import time
 import tracemalloc
 from functools import reduce
@@ -273,7 +275,7 @@ def test_ground_state_reconstruction_fidelity():
         cx.preset_spt_afm(0.5, 10),
     ]:
         ground = cx.exact_ground_state(cx.model_hamiltonian(spec))
-        recon = cx.reconstruct_even_vacuum(spec)
+        recon = cx.reconstruct_even_vacuum(cx.even_vacuum_angles(spec))
         assert np.linalg.norm(recon) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(ground, recon)) > 1 - 1e-9
 
@@ -281,7 +283,7 @@ def test_ground_state_reconstruction_fidelity():
 def test_corrupted_angle_sign_breaks_fidelity():
     spec = cx.preset_xny(0, 1.0, 0.2, 8)
     ground = cx.exact_ground_state(cx.model_hamiltonian(spec))
-    corrupted = cx.reconstruct_even_vacuum(spec, angle_sign=-1.0)
+    corrupted = cx.reconstruct_even_vacuum(-cx.even_vacuum_angles(spec))
     assert abs(np.vdot(ground, corrupted)) < 1 - 1e-6
 
 
@@ -334,24 +336,57 @@ def test_direct_overlap_ghz_best_site():
 def test_direct_overlap_dimension_mismatch():
     with pytest.raises(ValueError):
         cx.direct_overlap(np.ones(3) / np.sqrt(3), cx.SiteAnsatz(0.0))
+    odd = np.ones(2**5) / np.sqrt(2**5)
+    for amps, message in [([1.0, 0.0, 0.0], "2 or 4 amplitudes"), ([1.0, 0.0, 0.0, 0.0], "even sites"),
+                          ([0.0, 0.0], "all zero")]:
+        with pytest.raises(ValueError, match=message):
+            cx.direct_overlap(odd, amps)
+
+
+def test_oracle_reads_no_free_fermion_code(monkeypatch):
+    # the oracle checks the free-fermion solver, so it binds none of its
+    # names and runs with the solver's mode arrays unavailable
+    for name, value in vars(cx.oracle).items():
+        origin = value.__name__ if inspect.ismodule(value) else getattr(value, "__module__", None)
+        assert origin != "clusterxy.freefermion", name
+    spec = cx.preset_xny(1, 0.5, 0.7, 8)
+    angles = cx.even_vacuum_angles(spec)
+    analytic = cx.maximize_site(spec)
+
+    def unavailable(*args):
+        raise AssertionError("free-fermion mode arrays read")
+
+    mode_arrays = cx.freefermion._mode_arrays
+    for module in [m for name, m in sys.modules.items() if name.startswith("clusterxy")]:
+        for name, value in list(vars(module).items()):
+            if value is mode_arrays:
+                monkeypatch.setattr(module, name, unavailable)
+    with pytest.raises(AssertionError, match="mode arrays"):
+        cx.even_vacuum_angles(spec)
+    ground = cx.exact_ground_state(cx.model_hamiltonian(spec))
+    assert abs(np.vdot(ground, cx.reconstruct_even_vacuum(angles))) > 1 - 1e-9
+    brute = cx.brute_max_overlap(ground, "site")
+    assert brute.lambda_max == pytest.approx(analytic.lambda_max, abs=1e-6)
+    assert cx.direct_overlap(ground, analytic.optimum) == pytest.approx(analytic.lambda_max, abs=1e-9)
 
 
 def test_product_states_match_kronecker_reference():
+    # direct_overlap expands v^{tensor L} itself; the same products as
+    # np.kron, so the overlap is the reference's bit for bit
     rng = np.random.default_rng(17)
     for n in range(2, 11):
-        site = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert np.array_equal(
-            cx.oracle.site_product_state(n, site), reduce(np.kron, [site] * n)
-        )
-        if n % 2 == 0:
-            block = rng.normal(size=4) + 1j * rng.normal(size=4)
-            assert np.array_equal(
-                cx.oracle.block_product_state(n, block), reduce(np.kron, [block] * (n // 2))
-            )
+        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        for width in (2, 4):
+            if width == 4 and n % 2:
+                continue
+            v = rng.normal(size=width) + 1j * rng.normal(size=width)
+            legs = n if width == 2 else n // 2
+            reference = abs(np.vdot(reduce(np.kron, [v] * legs), state)) / np.linalg.norm(v) ** legs
+            assert cx.direct_overlap(state, v) == reference, (n, width)
 
 
 def test_brute_product_state_has_zero_entanglement():
-    state = cx.oracle.site_product_state(6, np.array([0.6, 0.8]))
+    state = reduce(np.kron, [np.array([0.6, 0.8])] * 6)
     for kind in ("site", "block", "af_site"):
         res = cx.brute_max_overlap(state, kind)
         assert res.eg_total == pytest.approx(0.0, abs=1e-9)
@@ -379,7 +414,7 @@ def test_brute_rejects_unknown_kind(monkeypatch):
         raise AssertionError("direct_overlap called for an unknown kind")
 
     monkeypatch.setattr(cx.oracle, "direct_overlap", no_overlaps)
-    state = cx.oracle.site_product_state(4, np.array([0.6, 0.8]))
+    state = reduce(np.kron, [np.array([0.6, 0.8])] * 4)
     with pytest.raises(ValueError, match="'site', 'block' or 'af_site'"):
         cx.brute_max_overlap(state, "pair")
 
@@ -392,7 +427,7 @@ def test_brute_validates_before_searching(monkeypatch):
         raise AssertionError("minimize called on an invalid request")
 
     monkeypatch.setattr(cx.oracle, "minimize", counted)
-    odd = cx.oracle.site_product_state(5, np.array([0.6, 0.8]))
+    odd = reduce(np.kron, [np.array([0.6, 0.8])] * 5)
     for state, kind, message in [
         (odd, "pair", "'site', 'block' or 'af_site'"),
         (np.ones(12) / np.sqrt(12), "site", "power of two"),
