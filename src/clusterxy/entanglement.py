@@ -181,14 +181,12 @@ def _block_forms(angles, sites: int) -> tuple[np.ndarray, np.ndarray | None]:
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (half,):
         raise ValueError(f"need {half} vacuum angles, got {angles.size}")
-    n_pair = sites // 4 if sites % 4 == 0 else (sites - 2) // 4
-
-    ks = np.arange(n_pair)
+    ks = np.arange(half // 2)
     coef = pair_forms(angles[ks], angles[half - 1 - ks], 2.0 * np.pi * (ks + 0.5) / sites)
 
     q = None
-    if sites % 4 != 0:
-        mid = (half - 1) // 2
+    if half % 2:
+        mid = half // 2
         q = np.array([math.cos(angles[mid]), 0.0, 0.0, math.sin(angles[mid])])
     return coef, q
 

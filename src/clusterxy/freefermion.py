@@ -29,7 +29,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -75,10 +74,10 @@ class GroundReport:
 
 @dataclass(frozen=True)
 class _ModeArrays:
-    """Per-momentum data of one sector.
+    """Per-momentum data of one sector, all the level search reads.
 
     ``partner`` is the paired momentum N - k - 2b; special (self-paired)
-    modes have partner == k, theta == 0, and epsilon == 2*alpha.
+    modes have partner == k and epsilon == 2*alpha.
     """
 
     alpha: np.ndarray
@@ -86,14 +85,6 @@ class _ModeArrays:
     epsilon: np.ndarray
     special: np.ndarray
     partner: np.ndarray
-
-    @cached_property
-    def theta(self) -> np.ndarray:
-        """Bogoliubov angles, computed on first read: the level search
-        never needs them."""
-        theta = bogoliubov_angle(self.alpha, self.beta)
-        theta[self.special] = 0.0
-        return theta
 
 
 def dispersion(spec: ModelSpec, mu) -> tuple[np.ndarray, np.ndarray]:
@@ -142,15 +133,12 @@ def _mode_arrays(spec: ModelSpec, sector: Sector) -> _ModeArrays:
 
 
 def bogoliubov_angle(alpha, beta) -> np.ndarray:
-    """Bogoliubov angle of modes with coefficients (alpha, beta):
-    cos(2 theta) = alpha / sqrt(alpha^2 + beta^2) with sin(theta) carrying
-    sgn(beta) (sgn(0) = +1), and theta = 0 where alpha = beta = 0."""
-    root = np.sqrt(alpha * alpha + beta * beta)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c2 = np.where(root > 0.0, alpha / np.where(root > 0.0, root, 1.0), 1.0)
-    sin_t = np.where(beta >= 0.0, 1.0, -1.0) * np.sqrt(np.clip((1.0 - c2) / 2.0, 0.0, 1.0))
-    cos_t = np.sqrt(np.clip((1.0 + c2) / 2.0, 0.0, 1.0))
-    return np.where(root == 0.0, 0.0, np.arctan2(sin_t, cos_t))
+    """Bogoliubov angle theta = atan2(beta, alpha)/2 of modes with
+    coefficients (alpha, beta), in (-pi/2, pi/2]: sin(theta) carries
+    sgn(beta) with sgn(0) = +1, and theta = 0 at alpha = beta = 0 (adding
+    0.0 first turns a signed zero into +0.0).  It is accurate to an ulp
+    also as beta -> 0, where theta -> 0 or +-pi/2 and gaps close."""
+    return 0.5 * np.arctan2(np.asarray(beta) + 0.0, np.asarray(alpha) + 0.0)
 
 
 def _sector_states_from_eps(
@@ -269,9 +257,10 @@ def ground_and_gap(spec: ModelSpec) -> GroundReport:
 
 
 def even_vacuum_angles(spec: ModelSpec) -> np.ndarray:
-    """Bogoliubov angles theta_k, k = 0 .. N/2 - 1, of the even-sector
-    vacuum (the lower half of each (k, N-k-1) pair); requires even N."""
-    if spec.sites % 2 != 0:
+    """Bogoliubov angles theta_k = theta(2 pi (k + 1/2)/N), k = 0 .. N/2 - 1,
+    of the even-sector vacuum (the lower half of each (k, N-k-1) pair), read
+    from the dispersion; requires even N."""
+    n = spec.sites
+    if n % 2 != 0:
         raise ValueError("even-sector vacuum angles require an even number of sites")
-    arr = _mode_arrays(spec, Sector.EVEN)
-    return arr.theta[: spec.sites // 2].copy()
+    return bogoliubov_angle(*dispersion(spec, (2.0 * np.pi / n) * (np.arange(n // 2) + 0.5)))

@@ -16,7 +16,10 @@ pass count.  Dump it once per tree, then compare the two dumps:
 ``--compare`` prints, per request and column, the cells that moved, the
 largest absolute and relative move, and how many moved outside the
 benchmark's reference tolerance REF_ATOL + REF_RTOL * |old|, read from
-``perfbench/checks.py``; then the same per verb and column over all requests.
+``perfbench/checks.py``; then the same per verb and column over all requests,
+and a one-line verdict.  It exits 1 when a request of the old dump is missing
+from the new one or changed its columns or row count, or when a cell moved
+outside that tolerance (a moved non-numeric cell counts as outside); else 0.
 pytest does not collect this file.
 """
 
@@ -113,17 +116,22 @@ class Moves:
         return text
 
 
-def compare(old_path: str, new_path: str) -> None:
+def compare(old_path: str, new_path: str) -> bool:
+    """Print the moves of every request and column; True when every request
+    is present with its shape and no cell moved outside the tolerance."""
     checks = _checks()
     old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
     totals: dict[str, Moves] = {}
+    broken = 0
     for name, want in old.items():
         got = new.get(name)
         if got is None or got["argv"] != want["argv"]:
             print(f"{name}: missing from {new_path} or a different request")
+            broken += 1
             continue
         if got["columns"] != want["columns"] or len(got["rows"]) != len(want["rows"]):
             print(f"{name}: columns or row count differ")
+            broken += 1
             continue
         lines = []
         for j, column in enumerate(want["columns"]):
@@ -139,6 +147,11 @@ def compare(old_path: str, new_path: str) -> None:
           f"(reference tolerance {checks.REF_ATOL:g} + {checks.REF_RTOL:g} |old|):")
     for column, total in totals.items():
         print("  " + total.line(column))
+    outside = sum(total.outside + total.non_numeric for total in totals.values())
+    passed = broken == 0 and outside == 0
+    print(f"{'PASS' if passed else 'FAIL'}: {len(old) - broken} of {len(old)} requests compared, "
+          f"{broken} missing or reshaped, {outside} cells outside the reference tolerance")
+    return passed
 
 
 if __name__ == "__main__":
@@ -146,6 +159,6 @@ if __name__ == "__main__":
     if len(args) == 2 and args[0] == "--dump":
         dump(args[1])
     elif len(args) == 3 and args[0] == "--compare":
-        compare(args[1], args[2])
+        sys.exit(0 if compare(args[1], args[2]) else 1)
     else:
         sys.exit("usage: PYTHONPATH=src python tests/compare_outputs.py --dump PATH | --compare OLD NEW")

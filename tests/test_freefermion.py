@@ -7,6 +7,7 @@ import pytest
 
 import clusterxy as cx
 from clusterxy import freefermion
+from clusterxy.entanglement import _thermo_rule
 from clusterxy.freefermion import (
     DEGENERACY_RTOL,
     Sector,
@@ -38,7 +39,6 @@ def test_mode_data_xzy_special_mode():
     assert arr.special[0] and arr.partner[0] == 0
     assert arr.epsilon[0] == pytest.approx(2 * (0.7 - 1.0), abs=1e-15)
     assert arr.special[4]  # k = N/2
-    assert arr.theta[0] == 0.0
 
 
 def test_mode_data_free_spins():
@@ -48,7 +48,6 @@ def test_mode_data_free_spins():
         for k in range(6):
             assert arr.alpha[k] == pytest.approx(0.8)
             assert arr.beta[k] == 0.0
-            assert arr.theta[k] == 0.0
             expected = 2 * 0.8  # special modes coincide: 2*alpha == 2*sqrt(alpha^2)
             assert arr.epsilon[k] == pytest.approx(expected)
 
@@ -72,7 +71,6 @@ def test_mode_invariants_random_specs():
                 if arr.special[k]:
                     assert partner == k
                     assert arr.epsilon[k] == pytest.approx(2 * arr.alpha[k], abs=1e-15)
-                    assert arr.theta[k] == 0.0
                 else:
                     assert arr.epsilon[k] >= 0.0
                     assert arr.epsilon[k] == pytest.approx(
@@ -87,8 +85,36 @@ def test_mode_invariants_random_specs():
 def test_theta_branch_convention():
     # sin(theta) carries the sign of beta; alpha < 0 with beta = 0 gives pi/2
     spec = cx.make_model(4, -1.0, [])
-    arr = _mode_arrays(spec, Sector.EVEN)
-    assert arr.theta == pytest.approx([math.pi / 2] * 4)
+    assert cx.even_vacuum_angles(spec) == pytest.approx([math.pi / 2] * 2)
+
+
+def _ulps_from_atan2(alpha, beta):
+    """|bogoliubov_angle - atan2(beta, alpha)/2| in ulps of the reference,
+    elementwise."""
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    got = cx.bogoliubov_angle(alpha, beta)
+    ref = np.array([0.5 * math.atan2(b, a) for a, b in zip(alpha.ravel(), beta.ravel())])
+    return np.abs(got.ravel() - ref) / np.spacing(np.abs(ref))
+
+
+def test_bogoliubov_angle_exact_to_an_ulp():
+    # theta -> 0 or +-pi/2 where beta -> 0, where the gap closes; the angle
+    # keeps every digit there
+    rng = np.random.default_rng(23)
+    alpha = rng.normal(size=10_000)
+    beta = alpha * rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-12.0, 2.0, 10_000)
+    mu, _ = _thermo_rule()
+    nodes = np.concatenate([mu, np.pi - mu])
+    node_alpha, node_beta = freefermion.dispersion(cx.preset_xny(0, 0.5, 1.2, 64), nodes)
+    for name, a, b in [("alpha=1, beta=1e-9", 1.0, 1e-9),
+                       ("alpha=-1, beta=+-1e-9", -1.0, [1e-9, -1e-9]),
+                       ("random, |beta/alpha| >= 1e-12", alpha, beta),
+                       ("xy r=0.5 h=1.2 at the thermo nodes", node_alpha, node_beta)]:
+        assert np.max(_ulps_from_atan2(a, b)) <= 1.0, name
+    # sgn(0) = +1: alpha < 0 with a zero beta of either sign gives +pi/2
+    negative = cx.bogoliubov_angle(np.array([-1.0, -1.0, -1e-300]), np.array([0.0, -0.0, -0.0]))
+    assert np.all(negative == 0.5 * math.pi)
+    assert np.all(cx.bogoliubov_angle(np.array([0.0, -0.0, -0.0]), np.array([0.0, 0.0, -0.0])) == 0.0)
 
 
 # --- parity-constrained minimum ----------------------------------------------
