@@ -2,8 +2,11 @@
 thermodynamic-limit densities, and oracle cross-checks, emitted as CSV or
 JSON tables.
 
-The sweep verbs share one resolved ``Scan``; a model file is a preset of
-the field, and ``thermo`` runs at the nominal size, so takes no ``--sites``.
+The sweep verbs share one resolved ``Scan``.  Each model has one spelling,
+a preset name (the halfway models are the presets ``halfway-xy`` and
+``spt-afm-halfway``) or a model file, which is a preset whose one parameter
+is the field ``h``; a sweep names a parameter of that preset.  ``thermo``
+runs at the nominal size, so takes no ``--sites``.
 
 Every emitted row carries the fully resolved model (as compact JSON), sweep
 endpoints are inclusive, floats are printed with 17 significant digits, and
@@ -42,7 +45,7 @@ EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
 
 #: the preset options and the value each takes when not given
-PARAMETER_DEFAULTS = {"r": 1.0, "h": 0.0, "g": 0.0, "lambda": 0.0, "n": 0, "m": None, "halfway": False}
+PARAMETER_DEFAULTS = {"r": 1.0, "h": 0.0, "g": 0.0, "lambda": 0.0, "n": 0, "m": None}
 
 _ENT_FUNCS = {
     "ent_site": maximize_site,
@@ -130,19 +133,14 @@ class Scan:
         param, start, stop, step = parse_sweep(args.sweep)
         sites = getattr(args, "sites", None)
         self.sites = _parse_sites(sites) if sites is not None else (nominal,)
-        used = self.preset.parameters
-        valid = tuple(p for p in used if p != "halfway") + (("field",) if "h" in used else ())
+        valid = self.preset.parameters
         if param not in valid:
             raise ValueError(
                 f"cannot sweep {param!r} for this model; valid parameters: {', '.join(valid)}"
             )
-        spans = [key for key in ("n", "m") if key in given or key == param]
-        if spans and self.params.get("halfway"):
-            raise ValueError(f"cannot give or sweep {spans[0]!r} with --halfway, which sets the spans to sites/2 - 1")
+        if param in given:
+            raise ValueError(f"--{param} sets the swept parameter; drop it")
         self.param = param
-        self.key = "h" if param == "field" else param
-        if self.key in given:
-            raise ValueError(f"--{self.key} sets the swept parameter {param!r}; drop it")
         self.values = sweep_points(start, stop, step)
         self.echo = {
             "command": args.command,
@@ -153,7 +151,7 @@ class Scan:
         }
 
     def model(self, sites: int, value: float) -> mdl.ModelSpec:
-        return self.preset.build({**self.params, self.key: value}, sites)
+        return self.preset.build({**self.params, self.param: value}, sites)
 
     def points(self):
         """(sweep value, model) at every point, sizes outermost."""
@@ -363,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_scan.add_argument("--lambda", type=float, help="AFM coupling (default 0)")
         p_scan.add_argument("--n", type=int, help="X-block mediator count (xny; default 0)")
         p_scan.add_argument("--m", type=int, help="Y-block mediator count (xny; defaults to n)")
-        p_scan.add_argument("--halfway", action="store_true", default=None,
-                            help="use half-ring interaction spans")
         p_scan.add_argument("--sweep", required=True, help="param:start:stop:step")
         p_scan.add_argument("--out", default=None, help="output path (default: stdout)")
         p_scan.add_argument("--format", choices=("csv", "json"), default="csv")

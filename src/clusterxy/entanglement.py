@@ -108,7 +108,7 @@ class BlockAnsatz:
 
     def __post_init__(self):
         norm2 = self.a**2 + self.b**2 + self.c**2 + self.d**2
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # NaN included
             raise ValueError(f"block amplitudes must be normalized, |v|^2 = {norm2}")
 
     @property

@@ -9,19 +9,21 @@ carries
     beta_k    = sum_X J sin(theta_arg) - sum_Y J sin(theta_arg)
     alpha_k   = h - sum_blocks J cos(theta_arg)
 
-and a quasiparticle energy eps_k = 2*sqrt(alpha^2 + beta^2), except for the
-self-paired "special" momenta (k = 0 and, for even N, k = N/2 in the odd
-sector; k = (N-1)/2 in the even sector for odd N) where the Hamiltonian is
-already diagonal and eps_k = 2*alpha_k, which may be negative.  A many-body
-level of the sector is the half-filled zero-point energy -sum(eps)/2 plus
-eps_k for every occupied mode, subject to the sector's occupation parity.
+and a quasiparticle energy eps_k = 2*sqrt(alpha^2 + beta^2).  Momentum k
+pairs with N - k - 2b; a self-paired "special" momentum (k = 0 and, for
+even N, k = N/2 in the odd sector; k = (N-1)/2 in the even sector for odd
+N) is already diagonal, with eps_k = 2*alpha_k, which may be negative.  A
+many-body level of the sector is the half-filled zero-point energy
+-sum(eps)/2 plus eps_k for every occupied mode, subject to the sector's
+occupation parity.
 
 This module finds each sector's lowest levels with one heap over mode
-flips, which is the only place that applies the parity rule: starting from
-every negative mode occupied, each flip costs |eps_k| and the sector's
-parity fixes the size parity of the flip set.  It reports the global ground
-energy, the gap, and the Bogoliubov angles of the even-sector vacuum (the
-state whose product-ansatz overlaps have closed forms).
+flips, which reads only the energies eps_k and is the only place that
+applies the parity rule: starting from every negative mode occupied, each
+flip costs |eps_k| and the sector's parity fixes the size parity of the
+flip set.  It reports the global ground energy, the gap, and the
+Bogoliubov angles of the even-sector vacuum (the state whose
+product-ansatz overlaps have closed forms), read from the dispersion.
 """
 
 from __future__ import annotations
@@ -72,21 +74,6 @@ class GroundReport:
         return self.gap < DEGENERACY_RTOL * max(1.0, abs(self.ground_energy))
 
 
-@dataclass(frozen=True)
-class _ModeArrays:
-    """Per-momentum data of one sector, all the level search reads.
-
-    ``partner`` is the paired momentum N - k - 2b; special (self-paired)
-    modes have partner == k and epsilon == 2*alpha.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    epsilon: np.ndarray
-    special: np.ndarray
-    partner: np.ndarray
-
-
 def dispersion(spec: ModelSpec, mu) -> tuple[np.ndarray, np.ndarray]:
     """alpha(mu) = h - sum_blocks J cos((1 + m) mu) and beta(mu) = sum_X
     J sin((1 + m) mu) - sum_Y J sin((1 + m) mu) at momenta ``mu``,
@@ -101,35 +88,22 @@ def dispersion(spec: ModelSpec, mu) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def _mode_arrays(spec: ModelSpec, sector: Sector) -> _ModeArrays:
+def _mode_energies(spec: ModelSpec, sector: Sector) -> np.ndarray:
+    """Quasiparticle energies eps_k of one sector, k = 0 .. N-1.  They are
+    evaluated on the canonical half (k <= partner) and copied to each
+    partner, so paired modes are exactly equal; a special mode (its own
+    partner) has eps = 2*alpha."""
     n = spec.sites
-    b = sector.b
     ks = np.arange(n)
-    partner = (n - ks - int(round(2 * b))) % n
-
-    # Compute alpha/beta on the canonical half (k <= partner) and mirror,
-    # so that the pairing symmetry eps_k == eps_partner holds exactly.
+    partner = (n - ks - int(round(2 * sector.b))) % n
     canon = ks <= partner
-    alpha_c, beta_c = dispersion(spec, (2.0 * np.pi / n) * (ks[canon] + b))
-
-    alpha = np.empty(n)
-    beta = np.empty(n)
-    alpha[canon] = alpha_c
-    beta[canon] = beta_c
-    mirror_src = partner[~canon]
-    alpha[~canon] = alpha[mirror_src]
-    beta[~canon] = -beta[mirror_src]
-
-    special = np.zeros(n, dtype=bool)
-    if sector is Sector.ODD:
-        special[0] = True
-        if n % 2 == 0:
-            special[n // 2] = True
-    elif n % 2 == 1:
-        special[(n - 1) // 2] = True
-
-    epsilon = np.where(special, 2.0 * alpha, 2.0 * np.sqrt(alpha * alpha + beta * beta))
-    return _ModeArrays(alpha, beta, epsilon, special, partner)
+    alpha, beta = dispersion(spec, (2.0 * np.pi / n) * (ks[canon] + sector.b))
+    epsilon = np.empty(n)
+    epsilon[canon] = np.where(
+        partner[canon] == ks[canon], 2.0 * alpha, 2.0 * np.sqrt(alpha * alpha + beta * beta)
+    )
+    epsilon[~canon] = epsilon[partner[~canon]]
+    return epsilon
 
 
 def bogoliubov_angle(alpha, beta) -> np.ndarray:
@@ -217,8 +191,7 @@ def sector_states(
 ) -> list[tuple[float, frozenset[int]]]:
     """The ``count`` lowest many-body levels of a sector, ascending, each
     with its occupied momentum set."""
-    arr = _mode_arrays(spec, sector)
-    states = _sector_states_from_eps(arr.epsilon, sector.parity, count)
+    states = _sector_states_from_eps(_mode_energies(spec, sector), sector.parity, count)
     return [
         (energy, frozenset(int(k) for k in np.flatnonzero(occ))) for energy, occ in states
     ]

@@ -183,8 +183,6 @@ def preset_free(h: float, sites: int) -> ModelSpec:
 def _build_xny(params: dict, sites: int) -> ModelSpec:
     n = params["n"]
     m = params["m"] if params.get("m") is not None else n
-    if params.get("halfway"):
-        n = m = sites // 2 - 1
     return preset_xnmy(n, m, params["r"], params["h"], sites)
 
 
@@ -213,7 +211,7 @@ PRESETS: dict[str, Preset] = {
         lambda p, n: preset_xny(1, p["r"], p["h"], n),
     ),
     "xny": Preset(
-        ("n", "m", "r", "h", "halfway"), "XY chain with n (and m) mediating Z's", _build_xny
+        ("n", "m", "r", "h"), "XY chain with n (and m) mediating Z's", _build_xny
     ),
     "halfway-xy": Preset(
         ("r", "h"), "XY chain with interactions spanning half the ring",
@@ -223,8 +221,8 @@ PRESETS: dict[str, Preset] = {
         ("g",), "rotated GHZ-cluster chain", lambda p, n: preset_ghz_cluster(p["g"], n)
     ),
     "spt-afm": Preset(
-        ("lambda", "halfway"), "cluster term competing with an AFM YY coupling",
-        lambda p, n: preset_spt_afm(p["lambda"], n, halfway=bool(p.get("halfway"))),
+        ("lambda",), "cluster term competing with an AFM YY coupling",
+        lambda p, n: preset_spt_afm(p["lambda"], n),
     ),
     "spt-afm-halfway": Preset(
         ("lambda",), "spt-afm with the halfway-span cluster term",

@@ -89,11 +89,7 @@ def test_criterion_01_oracle_equivalence():
     # else the machine runs, so it measures the load rather than the check
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
-    rows = run_checks(
-        sites=(4, 6, 8, 10),
-        points=11,
-        include_state=False,
-    )
+    rows = run_checks(sites=(4, 6, 8, 10), points=11)
     cpu = time.process_time() - cpu_start
     wall = time.perf_counter() - wall_start
     worst = max(rows, key=lambda r: r.error)
@@ -358,7 +354,7 @@ def test_criterion_10_overlap_formula_agreement():
     for name, spec, param in specs:
         rows = [
             r
-            for r in check_model(name, spec, param, include_state=True)
+            for r in check_model(name, spec, param)
             if r.check in ("overlap_site", "overlap_block", "state_fidelity")
         ]
         assert rows, f"{name}: ground state not eligible for overlap checks"

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib.util
 import io
@@ -8,6 +9,7 @@ import pytest
 
 import clusterxy as cx
 from clusterxy import cli, crosscheck
+from clusterxy.model import PRESETS
 from clusterxy.oracle import model_hamiltonian
 from clusterxy.cli import main, parse_sweep, sweep_points
 
@@ -116,8 +118,6 @@ def test_unread_or_swept_options_exit_2_before_solving(monkeypatch, tmp_path, ca
         ("--r", ["ent-scan", "--model", "xzy", "--r", "0.5", "--sites", "8",
                  "--sweep", "r:0:1:0.5"]),
         ("--lambda", ["thermo", "--model", "xy", "--lambda", "1", "--sweep", "h:1.5:2:0.5"]),
-        ("--halfway", ["spectrum", "--model", "spt-afm-halfway", "--halfway", "--sites", "8",
-                       "--sweep", "lambda:0:1:0.5"]),
         ("--m", ["gap-scan", "--model", "xny", "--m", "1", "--sites", "8", "--sweep", "m:0:2:1"]),
         ("--h", ["gap-scan", "--model-file", str(path), "--h", "0.5", "--sweep", "h:0:1:0.5"]),
     ]
@@ -210,19 +210,18 @@ def test_model_file_equivalent_to_preset(tmp_path, capsys):
     spec = cx.preset_xny(1, 0.5, 0.0, 8)
     path = tmp_path / "model.json"
     cx.save_model(spec, path)
-    for sweep in ("h:0:1:0.5", "field:0:1:0.5"):
-        code_file, out_file, _ = run_cli(
-            ["gap-scan", "--model-file", str(path), "--sweep", sweep], capsys
-        )
-        code_preset, out_preset, _ = run_cli(
-            ["gap-scan", "--model", "xzy", "--r", "0.5", "--sweep", sweep, "--sites", "8"],
-            capsys,
-        )
-        assert code_file == code_preset == 0
-        _, rows_file = parse_csv(out_file)
-        _, rows_preset = parse_csv(out_preset)
-        assert [r[:3] for r in rows_file] == [r[:3] for r in rows_preset]
-        assert [r[3] for r in rows_file] == [r[3] for r in rows_preset]
+    code_file, out_file, _ = run_cli(
+        ["gap-scan", "--model-file", str(path), "--sweep", "h:0:1:0.5"], capsys
+    )
+    code_preset, out_preset, _ = run_cli(
+        ["gap-scan", "--model", "xzy", "--r", "0.5", "--sweep", "h:0:1:0.5", "--sites", "8"],
+        capsys,
+    )
+    assert code_file == code_preset == 0
+    _, rows_file = parse_csv(out_file)
+    _, rows_preset = parse_csv(out_preset)
+    assert [r[:3] for r in rows_file] == [r[:3] for r in rows_preset]
+    assert [r[3] for r in rows_file] == [r[3] for r in rows_preset]
     # the field is the one parameter of a model file
     code, out, err = run_cli(["gap-scan", "--model-file", str(path), "--sweep", "r:0:1:0.5"], capsys)
     assert code == 2
@@ -263,8 +262,6 @@ def test_thermo_rejects_halfway(capsys):
     cases = [
         ["--model", "halfway-xy", "--sweep", "h:0:1:0.5"],
         ["--model", "spt-afm-halfway", "--sweep", "lambda:0.2:0.6:0.2"],
-        ["--model", "spt-afm", "--halfway", "--sweep", "lambda:0.2:0.6:0.2"],
-        ["--model", "xny", "--halfway", "--r", "0.5", "--sweep", "h:0:1:0.5"],
     ]
     for argv in cases:
         code, _, err = run_cli(["thermo", *argv], capsys)
@@ -308,23 +305,46 @@ def test_model_file_rejects_fractional_sizes(tmp_path, capsys):
             assert f"{key} must be an integer" in err and out == ""
 
 
-def test_halfway_rejects_span_sweep(capsys):
-    # --halfway fixes n = m = sites/2 - 1, so a sweep of either would print
-    # identical rows, and a given --n or --m would be echoed but not built
-    base = ["gap-scan", "--model", "xny", "--halfway", "--r", "0.5", "--sites", "8"]
-    for extra in (["--sweep", "n:0:2:1"], ["--sweep", "m:0:2:1"],
-                  ["--n", "3", "--m", "2", "--sweep", "h:0:1:0.5"],
-                  ["--m", "2", "--sweep", "h:0:1:0.5"]):
-        code, out, err = run_cli(base + extra, capsys)
-        assert code == 2, extra
-        assert "--halfway" in err and out == ""
-    code, out, _ = run_cli(base + ["--sweep", "h:0:1:0.5"], capsys)
-    assert code == 0
-    _, rows = parse_csv(out)
-    assert len(rows) == 3
-    # the echo carries the switch, so it differs from the request without it
-    request = json.loads(out.splitlines()[1].removeprefix("# request: "))
-    assert request["model"]["parameters"]["halfway"] is True
+def test_removed_spellings_exit_2(monkeypatch, tmp_path, capsys):
+    # each model and parameter has one spelling: `xny --halfway` is the
+    # preset halfway-xy, `spt-afm --halfway` is spt-afm-halfway, and the
+    # field is swept as h, also for a model file
+    built = []
+    monkeypatch.setattr(cli.Scan, "model", lambda self, sites, value: built.append(value))
+    path = tmp_path / "model.json"
+    cx.save_model(cx.preset_xny(1, 0.5, 0.3, 8), path)
+    halfway = [
+        ["--model", "xny", "--halfway", "--r", "0.5", "--sweep", "h:0:1:0.5"],
+        ["--model", "spt-afm", "--halfway", "--sweep", "lambda:0.2:0.6:0.2"],
+    ]
+    field = [
+        ["--model", "xzy", "--r", "0.5", "--sweep", "field:0:1:0.5"],
+        ["--model-file", str(path), "--sweep", "field:0:1:0.5"],
+    ]
+    for verb in cli.SCAN_VERBS:
+        for argv in halfway:
+            with pytest.raises(SystemExit) as exc:
+                main([verb, *argv])
+            assert exc.value.code == 2, (verb, argv)
+            captured = capsys.readouterr()
+            assert "--halfway" in captured.err and captured.out == "", (verb, argv)
+        for argv in field:
+            code, out, err = run_cli([verb, *argv], capsys)
+            assert code == 2, (verb, argv)
+            assert "cannot sweep 'field'" in err and out == "", (verb, argv)
+    assert built == []
+
+
+def test_scan_options_are_the_preset_parameters():
+    # a preset-parameter option that no preset reads cannot come back: the
+    # scan parsers offer exactly the parameters of the preset registry
+    parameters = {p for preset in PRESETS.values() for p in preset.parameters}
+    assert set(cli.PARAMETER_DEFAULTS) == parameters
+    general = {"help", "model", "model_file", "sweep", "out", "format", "sites", "levels", "quantities"}
+    parser = cli.build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for verb in cli.SCAN_VERBS:
+        assert {a.dest for a in verbs[verb]._actions} - general == parameters, verb
 
 
 def test_validation_errors_exit_2(capsys):
@@ -387,10 +407,12 @@ def test_check_validates_every_model_before_any_dense_build(monkeypatch, capsys)
 
     monkeypatch.setattr(crosscheck, "model_hamiltonian", counting)
     # halfway-xy rejects the odd size only after xy, xzy and xn2y in order;
-    # bogus comes after xy
+    # bogus comes after xy; a preset listed twice used to run twice and
+    # report every row twice
     for argv, message in (
         (["--sites", "11", "--points", "2"], "even number of sites"),
         (["--sites", "6", "--points", "2", "--presets", "xy,bogus"], "unknown preset"),
+        (["--sites", "4", "--points", "1", "--presets", "xy,xy"], "more than once"),
     ):
         code, out, err = run_cli(["check", *argv], capsys)
         assert code == 2, argv

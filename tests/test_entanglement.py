@@ -46,6 +46,13 @@ def test_overlap_block_trivial():
     assert cx.overlap_block(angles, cx.BlockAnsatz(1.0, 0.0, 0.0, 0.0), 8) == pytest.approx(1.0)
 
 
+def test_block_ansatz_rejects_unnormalized_and_nan():
+    # a NaN norm fails every comparison, so |norm2 - 1| > tol let it through
+    for amps in ([math.nan, 0.0, 0.0, 0.0], [1.0, math.nan, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="normalized"):
+            cx.BlockAnsatz(*amps)
+
+
 def test_overlaps_reject_wrong_angle_count():
     # an N-site ring has N/2 vacuum angles: a longer array belongs to another
     # ring, and truncating it gave an overlap of the wrong state

@@ -11,7 +11,7 @@ from clusterxy.entanglement import _thermo_rule
 from clusterxy.freefermion import (
     DEGENERACY_RTOL,
     Sector,
-    _mode_arrays,
+    _mode_energies,
     _sector_states_from_eps,
 )
 
@@ -34,29 +34,27 @@ def brute_sector_levels(epsilon, parity, count):
 
 
 def test_mode_data_xzy_special_mode():
+    # k = 0 and k = N/2 are their own partners: eps = 2*alpha, negative here
     spec = cx.preset_xny(1, 1.0, 0.7, 8)
-    arr = _mode_arrays(spec, Sector.ODD)
-    assert arr.special[0] and arr.partner[0] == 0
-    assert arr.epsilon[0] == pytest.approx(2 * (0.7 - 1.0), abs=1e-15)
-    assert arr.special[4]  # k = N/2
+    eps = _mode_energies(spec, Sector.ODD)
+    assert eps[0] == pytest.approx(2 * (0.7 - 1.0), abs=1e-15)
+    assert eps[4] == pytest.approx(2 * (0.7 - 1.0), abs=1e-15)
 
 
 def test_mode_data_free_spins():
     spec = cx.preset_free(0.8, 6)
     for sector in (Sector.ODD, Sector.EVEN):
-        arr = _mode_arrays(spec, sector)
+        eps = _mode_energies(spec, sector)
         for k in range(6):
-            assert arr.alpha[k] == pytest.approx(0.8)
-            assert arr.beta[k] == 0.0
             expected = 2 * 0.8  # special modes coincide: 2*alpha == 2*sqrt(alpha^2)
-            assert arr.epsilon[k] == pytest.approx(expected)
+            assert eps[k] == pytest.approx(expected)
 
 
 def test_mode_data_halfway_even_sector():
     spec = cx.preset_halfway_xy(0.5, 0.3, 8)
-    arr = _mode_arrays(spec, Sector.EVEN)
-    assert not arr.special.any()
-    assert arr.epsilon[0] == pytest.approx(2 * math.sqrt(0.09 + 0.25), abs=1e-14)
+    eps = _mode_energies(spec, Sector.EVEN)
+    assert (eps > 0.0).all()  # no special mode, so none at 2*alpha < 0
+    assert eps[0] == pytest.approx(2 * math.sqrt(0.09 + 0.25), abs=1e-14)
 
 
 def test_mode_invariants_random_specs():
@@ -65,21 +63,18 @@ def test_mode_invariants_random_specs():
         sites = int(rng.integers(2, 12))
         spec = random_spec(rng, sites)
         for sector in (Sector.ODD, Sector.EVEN):
-            arr = _mode_arrays(spec, sector)
+            eps = _mode_energies(spec, sector)
+            ks = np.arange(sites)
+            alpha, beta = freefermion.dispersion(spec, (2.0 * np.pi / sites) * (ks + sector.b))
             for k in range(sites):
-                partner = arr.partner[k]
-                if arr.special[k]:
-                    assert partner == k
-                    assert arr.epsilon[k] == pytest.approx(2 * arr.alpha[k], abs=1e-15)
+                partner = (sites - k - int(2 * sector.b)) % sites
+                if partner == k:
+                    assert eps[k] == pytest.approx(2 * alpha[k], abs=1e-15)
                 else:
-                    assert arr.epsilon[k] >= 0.0
-                    assert arr.epsilon[k] == pytest.approx(
-                        2 * math.hypot(arr.alpha[k], arr.beta[k]), abs=1e-13
-                    )
+                    assert eps[k] >= 0.0
+                    assert eps[k] == pytest.approx(2 * math.hypot(alpha[k], beta[k]), abs=1e-13)
                     # pairing symmetry holds exactly, not just approximately
-                    assert arr.epsilon[k] == arr.epsilon[partner]
-                    assert arr.alpha[k] == arr.alpha[partner]
-                    assert arr.beta[k] == -arr.beta[partner]
+                    assert eps[k] == eps[partner]
 
 
 def test_theta_branch_convention():
@@ -125,7 +120,7 @@ def test_three_fermion_regime():
     energy, occ = cx.sector_states(spec, Sector.ODD, 1)[0]
     assert len(occ) == 3
     assert {0, 4} <= occ
-    eps = _mode_arrays(spec, Sector.ODD).epsilon
+    eps = _mode_energies(spec, Sector.ODD)
     assert energy == pytest.approx(brute_sector_levels(eps, "odd", 1)[0], abs=1e-12)
 
 
@@ -133,13 +128,13 @@ def test_vacuum_even_when_all_positive():
     spec = cx.preset_free(1.0, 6)
     energy, occ = cx.sector_states(spec, Sector.EVEN, 1)[0]
     assert occ == frozenset()
-    assert energy == pytest.approx(-0.5 * _mode_arrays(spec, Sector.EVEN).epsilon.sum())
+    assert energy == pytest.approx(-0.5 * _mode_energies(spec, Sector.EVEN).sum())
 
 
 def test_halfway_degenerate_minimum():
     # one- and three-fermion patterns tie at the odd-sector minimum
     spec = cx.preset_halfway_xy(0.5, 0.5, 8)
-    eps = _mode_arrays(spec, Sector.ODD).epsilon
+    eps = _mode_energies(spec, Sector.ODD)
     levels = brute_sector_levels(eps, "odd", 4)
     energy, _ = cx.sector_states(spec, Sector.ODD, 1)[0]
     assert energy == pytest.approx(levels[0], abs=1e-12)
@@ -160,7 +155,7 @@ def test_constrained_minimum_matches_enumeration():
         sites = int(rng.integers(2, 11))
         spec = random_spec(rng, sites)
         for sector in (Sector.ODD, Sector.EVEN):
-            eps = _mode_arrays(spec, sector).epsilon
+            eps = _mode_energies(spec, sector)
             energy, occ = cx.sector_states(spec, sector, 1)[0]
             want_odd = sector.parity == "odd"
             assert (len(occ) % 2 == 1) == want_odd
@@ -179,7 +174,7 @@ def test_sector_levels_free_spins():
 
 def test_sector_levels_against_enumeration():
     spec = cx.preset_xny(1, 0.5, 0.2, 8)
-    eps = _mode_arrays(spec, Sector.ODD).epsilon
+    eps = _mode_energies(spec, Sector.ODD)
     expected = brute_sector_levels(eps, "odd", 3)
     assert cx.sector_levels(spec, Sector.ODD, 3) == pytest.approx(list(expected), abs=1e-12)
 
@@ -190,7 +185,7 @@ def test_sector_levels_random_specs():
         sites = int(rng.integers(2, 10))
         spec = random_spec(rng, sites)
         for sector in (Sector.ODD, Sector.EVEN):
-            eps = _mode_arrays(spec, sector).epsilon
+            eps = _mode_energies(spec, sector)
             count = min(6, 2 ** (sites - 1))
             expected = brute_sector_levels(eps, sector.parity, count)
             got = cx.sector_levels(spec, sector, count)
@@ -210,7 +205,7 @@ def test_sector_states_energy_consistency():
     ]
     for spec in specs:
         for sector in (Sector.ODD, Sector.EVEN):
-            eps = _mode_arrays(spec, sector).epsilon
+            eps = _mode_energies(spec, sector)
             for energy, occ in cx.sector_states(spec, sector, 5):
                 direct = -0.5 * eps.sum() + sum(eps[k] for k in occ)
                 assert energy == pytest.approx(direct, abs=1e-12)
@@ -297,10 +292,10 @@ def bounded_search_cases():
     for f, (build, centre) in enumerate(GAP_SCAN_FAMILIES):
         for x in (centre - 0.1, centre, centre + 0.1):
             for sector in (Sector.ODD, Sector.EVEN):
-                yield f"family {f} at {x} {sector.value}", _mode_arrays(build(x), sector).epsilon
+                yield f"family {f} at {x} {sector.value}", _mode_energies(build(x), sector)
     halfway = cx.preset_halfway_xy(0.7, 0.5, 4096)
     for sector in (Sector.ODD, Sector.EVEN):
-        yield f"halfway h=0.5 {sector.value}", _mode_arrays(halfway, sector).epsilon
+        yield f"halfway h=0.5 {sector.value}", _mode_energies(halfway, sector)
     yield "all equal", np.full(40, 0.75)
     yield "all zero", np.zeros(12)
     yield "zeros and ties", np.array([0.0, 0.5, 0.0, 0.5, 0.5, 1.0, 0.0, 1.0, 0.5, 0.0])
@@ -357,10 +352,9 @@ def test_angles_computed_only_where_read(monkeypatch):
         cx.ground_and_gap(spec)
     assert calls == []
     for spec in specs:
-        arr = _mode_arrays(spec, Sector.EVEN)
-        reference = angle(arr.alpha, arr.beta)
-        reference[arr.special] = 0.0
-        assert np.array_equal(cx.even_vacuum_angles(spec), reference[: spec.sites // 2])
+        n = spec.sites
+        reference = angle(*freefermion.dispersion(spec, (2.0 * np.pi / n) * (np.arange(n // 2) + 0.5)))
+        assert np.array_equal(cx.even_vacuum_angles(spec), reference)
     assert len(calls) == len(specs)
 
 

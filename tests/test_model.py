@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import clusterxy as cx
-from clusterxy.freefermion import _mode_arrays
+from clusterxy.freefermion import _mode_energies
 from clusterxy.model import BlockKind, BlockSpec
 
 
@@ -184,8 +184,8 @@ def test_duplicate_blocks_allowed():
     # strengths add linearly in the spectrum: compare against the merged block
     merged = cx.make_model(6, 0.0, [("x", 0.75, 1)])
     for sector in (cx.Sector.ODD, cx.Sector.EVEN):
-        eps_a = list(_mode_arrays(spec, sector).epsilon)
-        eps_b = list(_mode_arrays(merged, sector).epsilon)
+        eps_a = list(_mode_energies(spec, sector))
+        eps_b = list(_mode_energies(merged, sector))
         assert eps_a == pytest.approx(eps_b, abs=1e-14)
 
 

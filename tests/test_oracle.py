@@ -345,7 +345,7 @@ def test_direct_overlap_dimension_mismatch():
 
 def test_oracle_reads_no_free_fermion_code(monkeypatch):
     # the oracle checks the free-fermion solver, so it binds none of its
-    # names and runs with the solver's mode arrays and dispersion unavailable
+    # names and runs with the solver's mode energies and dispersion unavailable
     for name, value in vars(cx.oracle).items():
         origin = value.__name__ if inspect.ismodule(value) else getattr(value, "__module__", None)
         assert origin != "clusterxy.freefermion", name
@@ -354,14 +354,14 @@ def test_oracle_reads_no_free_fermion_code(monkeypatch):
     analytic = cx.maximize_site(spec)
 
     def unavailable(*args):
-        raise AssertionError("free-fermion mode arrays or dispersion read")
+        raise AssertionError("free-fermion mode energies or dispersion read")
 
-    solver = (cx.freefermion._mode_arrays, cx.freefermion.dispersion)
+    solver = (cx.freefermion._mode_energies, cx.freefermion.dispersion)
     for module in [m for name, m in sys.modules.items() if name.startswith("clusterxy")]:
         for name, value in list(vars(module).items()):
             if any(value is f for f in solver):
                 monkeypatch.setattr(module, name, unavailable)
-    with pytest.raises(AssertionError, match="mode arrays"):
+    with pytest.raises(AssertionError, match="mode energies"):
         cx.even_vacuum_angles(spec)
     ground = cx.exact_ground_state(cx.model_hamiltonian(spec))
     assert abs(np.vdot(ground, cx.reconstruct_even_vacuum(angles))) > 1 - 1e-9
