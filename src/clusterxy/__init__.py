@@ -36,11 +36,10 @@ from .entanglement import (
     EvenVacuumError,
     QuadratureError,
     SiteAnsatz,
+    log_overlaps,
     maximize_block,
     maximize_site,
     maximize_site_af,
-    overlap_block,
-    overlap_site,
     scan_derivative,
     thermo_block_density,
 )

@@ -44,6 +44,10 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
 
+#: the most points a sweep may have; a longer one is refused before its grid
+#: is built
+MAX_SWEEP_POINTS = 100_000
+
 #: the preset options and the value each takes when not given
 PARAMETER_DEFAULTS = {"r": 1.0, "h": 0.0, "g": 0.0, "lambda": 0.0, "n": 0, "m": None}
 
@@ -72,7 +76,9 @@ def parse_sweep(text: str) -> tuple[str, float, float, float]:
     if not start < stop:
         raise ValueError("sweep start must be < stop")
     steps = (stop - start) / step
-    if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9):
+    if not steps + 1.0 < MAX_SWEEP_POINTS + 0.5:  # steps + 1 points; an infinite count fails too
+        raise ValueError(f"sweep {text!r} has more than {MAX_SWEEP_POINTS} points")
+    if not (round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9):
         raise ValueError(f"sweep range {stop - start:g} is not a whole number of steps {step:g}")
     return param, start, stop, step
 

@@ -2,7 +2,9 @@
 brute-force solver side by side on every preset family and reports
 per-point pass/fail rows for energies and gaps, and, wherever the ground
 state is the non-degenerate even vacuum, for the state fidelity and the
-closed-form overlap formulas."""
+overlaps: exp of ``entanglement.log_overlaps``, the log-overlap evaluator the
+maximizers run on the ring's forms, against ``oracle.direct_overlap`` at
+random site and block states."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import model as mdl
 from .freefermion import ground_and_gap, even_vacuum_angles
-from .entanglement import overlap_site, overlap_block
+from .entanglement import _product_vectors, log_overlaps
 from .oracle import (
     MAX_DENSE_SITES,
     direct_overlap,
@@ -67,7 +69,8 @@ def check_model(
     """Compare the analytic solution of one model against dense exact
     diagonalization; returns one row per comparison: the energy and the
     gap, then, when the ground state is the non-degenerate even vacuum of
-    an even ring, the state fidelity and the closed-form overlaps."""
+    an even ring, the state fidelity and the overlaps at OVERLAP_SAMPLES
+    site states s (as the blocks s x s) and as many block states."""
     rows: list[CheckRow] = []
     report = ground_and_gap(spec)
     ham = model_hamiltonian(spec)
@@ -90,22 +93,15 @@ def check_model(
     )
 
     rng = rng or np.random.default_rng(1234)
-    err_site = 0.0
-    for xi in rng.uniform(0.0, np.pi, size=OVERLAP_SAMPLES):
-        closed = abs(overlap_site(angles, float(xi), spec.sites))
-        amp = np.array([np.cos(xi / 2.0), np.sin(xi / 2.0)])
-        err_site = max(err_site, abs(closed - direct_overlap(ground, amp)))
-    rows.append(
-        CheckRow(name, spec.sites, parameter, "overlap_site", err_site, OVERLAP_TOL, err_site <= OVERLAP_TOL)
-    )
-    err_block = 0.0
+    xis = rng.uniform(0.0, np.pi, size=OVERLAP_SAMPLES)
     blocks = rng.normal(size=(OVERLAP_SAMPLES, 4))
-    for amps in blocks / np.linalg.norm(blocks, axis=1, keepdims=True):
-        closed = abs(overlap_block(angles, amps, spec.sites))
-        err_block = max(err_block, abs(closed - direct_overlap(ground, amps)))
-    rows.append(
-        CheckRow(name, spec.sites, parameter, "overlap_block", err_block, OVERLAP_TOL, err_block <= OVERLAP_TOL)
-    )
+    blocks /= np.linalg.norm(blocks, axis=1, keepdims=True)
+    site_states = [np.array([np.cos(xi / 2.0), np.sin(xi / 2.0)]) for xi in xis]
+    for check, v, states in (("overlap_site", _product_vectors(0.5 * xis, 0.5 * xis), site_states),
+                             ("overlap_block", blocks, blocks)):
+        closed = np.exp(log_overlaps(angles, v, spec.sites))
+        err = float(np.max(np.abs(closed - [direct_overlap(ground, state) for state in states])))
+        rows.append(CheckRow(name, spec.sites, parameter, check, err, OVERLAP_TOL, err <= OVERLAP_TOL))
     return rows
 
 

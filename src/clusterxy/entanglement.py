@@ -4,10 +4,11 @@ The vacuum of the antiperiodic (even) sector is a paired state
 prod_k [cos(theta_k) + i sin(theta_k) c+_k c+_{N-k-1}] |0>.  Its overlap
 with a uniform two-site-block product state v = (a, b, c, d) is a product
 of quadratic forms in v over momentum pairs, times a linear factor q.v when
-N/2 is odd, which the searches take as one more form, (q.v)^2 at weight 1/2.
-Each form couples a with d and b with c only, so it is five coefficients
-(``pair_forms``).  One evaluator on these block forms serves three nested
-translation-invariant ansatze, site <= period-2 <= block:
+N/2 is odd, which enters as one more form, (q.v)^2 at weight 1/2.  Each
+form couples a with d and b with c only, so it is five coefficients
+(``pair_forms``); ``_block_forms`` builds a ring's forms, in one place.  One
+evaluator on them serves three nested translation-invariant ansatze,
+site <= period-2 <= block:
 
 * one single-site state s on every site: v = s x s, s = (cos xi/2, sin xi/2);
 * a period-2 product, independent states on the two sites of each block
@@ -17,11 +18,13 @@ translation-invariant ansatze, site <= period-2 <= block:
 Maximizing the squared overlap gives the geometric entanglement
 E = -log2(Lambda_max^2) and its per-site density E/N.  One evaluator,
 ``_log_overlaps``, gives the log-overlap with its gradient and Hessian from
-the coefficients.  Every family runs one trust-region Newton ascent of all
-its starts as one array, ``_newton``: the site angle from the best cell of
-a dense xi grid, the period-2 and block families from starts that hold the
-embedded optima of the smaller families.  The period-2 and block searches
-(``_ascend``) end with one L-BFGS-B polish of each point's winner.
+the coefficients; ``log_overlaps`` is its value on a ring's forms, which
+``clusterxy check`` compares with the dense oracle.  Every family runs one
+trust-region Newton ascent of all its starts as one array, ``_newton``: the
+site angle from the best cell of a dense xi grid, the period-2 and block
+families from starts that hold the embedded optima of the smaller families.
+The period-2 and block searches (``_ascend``) end with one L-BFGS-B polish
+of each point's winner.
 
 The three finite-N maximizers accept a model or its ``EvenVacuumAnalysis``,
 which solves the ground state and the vacuum angles once.  An
@@ -167,13 +170,13 @@ def pair_forms(t1, t2, mu) -> np.ndarray:
                      np.sin(t1) * np.sin(t2), diag + off, diag - off], axis=-1)
 
 
-def _block_forms(angles, sites: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The pair forms of an N-site ring, sampled at mu_k = 2 pi (k + 1/2)/N.
-
-    Returns (C, q): factor k of the overlap is C[k] . (a^2, ad, d^2, p^2, m^2)
-    (see ``pair_forms``), and the leftover unpaired factor (present when N/2
-    is odd) is q.v.  The signed overlap needs q.v itself; the searches take
-    its square as one more form (``EvenVacuumAnalysis.forms``).
+def _block_forms(angles, sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, weights): the overlap forms of an N-site ring, the one place they
+    are built.  The pair forms (``pair_forms``) sampled at
+    mu_k = 2 pi (k + 1/2)/N enter at unit weight; when N/2 is odd, the
+    unpaired factor q.v, q = (cos t, 0, 0, sin t) at the middle angle t,
+    enters as the row (q_a^2, 2 q_a q_d, q_d^2, 0, 0) of (q.v)^2 at weight
+    1/2: log|q.v| = 1/2 log (q.v)^2.
     """
     if sites % 2 != 0:
         raise ValueError("block overlap requires an even number of sites")
@@ -183,36 +186,23 @@ def _block_forms(angles, sites: int) -> tuple[np.ndarray, np.ndarray | None]:
         raise ValueError(f"need {half} vacuum angles, got {angles.size}")
     ks = np.arange(half // 2)
     coef = pair_forms(angles[ks], angles[half - 1 - ks], 2.0 * np.pi * (ks + 0.5) / sites)
-
-    q = None
+    weights = np.ones(coef.shape[0])
     if half % 2:
-        mid = half // 2
-        q = np.array([math.cos(angles[mid]), 0.0, 0.0, math.sin(angles[mid])])
-    return coef, q
+        qa, qd = math.cos(angles[half // 2]), math.sin(angles[half // 2])
+        coef = np.vstack([coef, [qa * qa, 2.0 * qa * qd, qd * qd, 0.0, 0.0]])
+        weights = np.append(weights, 0.5)
+    return coef, weights
 
 
-def _block_amplitudes(ansatz) -> np.ndarray:
-    amps = getattr(ansatz, "amplitudes", None)
-    amps = np.asarray(amps if amps is not None else ansatz, dtype=float)
-    if amps.shape != (4,):
-        raise ValueError("block ansatz needs 4 real amplitudes")
-    return amps
-
-
-def overlap_block(angles, ansatz, sites: int) -> float:
-    """Overlap of the even vacuum with the uniform two-site-block product
-    state, evaluated factor by factor (times the unpaired factor when N/2
-    is odd)."""
-    v = _block_amplitudes(ansatz)
-    coef, q = _block_forms(angles, sites)
-    total = float(np.prod(_factors(v, coef)))
-    return total if q is None else total * float(q @ v)
-
-
-def overlap_site(angles, xi: float, sites: int) -> float:
-    """Overlap of the even vacuum with the uniform single-site product state
-    (cos(xi/2), sin(xi/2)) on every site: the block overlap at s x s."""
-    return overlap_block(angles, _product_vectors(0.5 * xi, 0.5 * xi), sites)
+def log_overlaps(angles, v, sites: int) -> np.ndarray:
+    """log|<v^(x N/2)|vacuum>| of the even vacuum with ``angles`` on an
+    N-site ring, at every block amplitude vector v = (a, b, c, d) along the
+    last axis of ``v``: the evaluator of the maximizers on the ring's forms.
+    A site state s is the block s x s (``_product_vectors``)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (4,):
+        raise ValueError("block amplitudes need a last axis of 4")
+    return _log_overlaps(v, *_block_forms(angles, sites))
 
 
 def _product_vectors(t1, t2) -> np.ndarray:
@@ -496,26 +486,13 @@ class EvenVacuumAnalysis:
 
     @cached_property
     def forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(C, weights): the block overlap's pair coefficients (see
-        ``_block_forms``) at unit weights and, when N/2 is odd, the row
-        (q_a^2, 2 q_a q_d, q_d^2, 0, 0) of (q.v)^2, the pair form at mu = pi/2,
-        at weight 1/2: log|q.v| = 1/2 log (q.v)^2."""
-        coef, q = _block_forms(self.angles, self.sites)
-        weights = np.ones(coef.shape[0])
-        if q is not None:
-            coef = np.vstack([coef, [q[0] * q[0], 2.0 * q[0] * q[3], q[3] * q[3], 0.0, 0.0]])
-            weights = np.append(weights, 0.5)
-        return coef, weights
+        """(C, weights) of the ring (``_block_forms``)."""
+        return _block_forms(self.angles, self.sites)
 
     def solved(self, search: str) -> tuple:
         """This point's entry of each array of its batch's ``search``."""
         batch = self.batch or AnalysisBatch([self])
         return tuple(x[self.slot] for x in getattr(batch, search))
-
-    @property
-    def site_optimum(self) -> tuple[float, float]:
-        """(xi, log Lambda) of the site family, xi in [0, pi]."""
-        return tuple(float(x) for x in self.solved("site_optima"))
 
 
 class AnalysisBatch:
@@ -540,10 +517,10 @@ class AnalysisBatch:
 
     @cached_property
     def site_optima(self) -> tuple[np.ndarray, np.ndarray]:
-        """``site_optimum`` of every point: a dense grid of t = xi/2 for all
-        points in one evaluation, then one Newton ascent from each point's
-        best cell.  f(s x s) is even in t with period pi, so t folds into
-        [0, pi/2]."""
+        """(xi in [0, pi], log Lambda) of the site family at every point: a
+        dense grid of t = xi/2 for all points in one evaluation, then one
+        Newton ascent from each point's best cell.  f(s x s) is even in t
+        with period pi, so t folds into [0, pi/2]."""
         coef, weights = self.forms
         grid = np.linspace(0.0, 0.5 * math.pi, SITE_GRID_POINTS)
         values = _log_overlaps(_product_vectors(grid, grid), coef, weights)
@@ -580,8 +557,8 @@ def maximize_site(spec: ModelSpec | EvenVacuumAnalysis) -> EntanglementResult:
     """Geometric entanglement against uniform single-site product states:
     one Newton ascent in xi from the best cell of a dense xi grid."""
     analysis = _analysis(spec)
-    xi, log_lambda = analysis.site_optimum
-    return entanglement_result(log_lambda, analysis.sites, SiteAnsatz(xi), "per_site",
+    xi, log_lambda = analysis.solved("site_optima")
+    return entanglement_result(float(log_lambda), analysis.sites, SiteAnsatz(float(xi)), "per_site",
                                analysis.report.degenerate)
 
 

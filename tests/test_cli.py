@@ -57,6 +57,16 @@ def test_parse_sweep_rejects_non_finite():
             parse_sweep(text)
 
 
+def test_parse_sweep_rejects_too_many_points():
+    # 10^12 steps passed every check, and sweep_points then built the list
+    # until memory ran out; MAX_SWEEP_POINTS points are still accepted
+    for text in ("h:0:1:1e-12", "h:0:1:1e-5", "h:-1e308:1e308:1e-300"):
+        with pytest.raises(ValueError, match=f"more than {cli.MAX_SWEEP_POINTS} points"):
+            parse_sweep(text)
+    last = (cli.MAX_SWEEP_POINTS - 1) * 1e-5
+    assert len(sweep_points(*parse_sweep(f"h:0:{last!r}:1e-5")[1:])) == cli.MAX_SWEEP_POINTS
+
+
 def test_ent_scan_rejects_partial_step_sweep_before_solving(monkeypatch, capsys):
     # a range that is not a whole number of steps exits 2 before any point
     # is solved, with or without the derivative; so does a quantity listed

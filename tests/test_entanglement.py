@@ -30,20 +30,27 @@ from clusterxy.entanglement import (
 )
 
 
+def site_overlap(angles, xi, sites):
+    """|overlap| with the site state (cos xi/2, sin xi/2) on every site, from
+    ``log_overlaps`` at the block s x s."""
+    return float(np.exp(cx.log_overlaps(angles, _product_vectors(xi / 2, xi / 2), sites)))
+
+
 def test_overlap_site_vacuum_limits():
     angles = np.zeros(4)
-    assert cx.overlap_site(angles, 0.0, 8) == pytest.approx(1.0)
-    assert cx.overlap_site(angles, math.pi, 8) == pytest.approx(0.0, abs=1e-15)
+    assert site_overlap(angles, 0.0, 8) == pytest.approx(1.0)
+    assert site_overlap(angles, math.pi, 8) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_overlap_site_odd_sites_rejected():
     with pytest.raises(ValueError, match="even"):
-        cx.overlap_site(np.zeros(3), 0.5, 7)
+        site_overlap(np.zeros(3), 0.5, 7)
 
 
 def test_overlap_block_trivial():
     angles = np.zeros(4)
-    assert cx.overlap_block(angles, cx.BlockAnsatz(1.0, 0.0, 0.0, 0.0), 8) == pytest.approx(1.0)
+    assert math.exp(cx.log_overlaps(angles, cx.BlockAnsatz(1.0, 0.0, 0.0, 0.0).amplitudes, 8)) \
+        == pytest.approx(1.0)
 
 
 def test_block_ansatz_rejects_unnormalized_and_nan():
@@ -59,9 +66,9 @@ def test_overlaps_reject_wrong_angle_count():
     angles = cx.even_vacuum_angles(cx.preset_xny(1, 0.5, 0.8, 16))
     for wrong in (angles, angles[:3]):
         with pytest.raises(ValueError, match="need 4 vacuum angles, got"):
-            cx.overlap_site(wrong, 0.7, 8)
+            site_overlap(wrong, 0.7, 8)
         with pytest.raises(ValueError, match="need 4 vacuum angles, got"):
-            cx.overlap_block(wrong, cx.BlockAnsatz(1.0, 0.0, 0.0, 0.0), 8)
+            cx.log_overlaps(wrong, cx.BlockAnsatz(1.0, 0.0, 0.0, 0.0).amplitudes, 8)
 
 
 def test_overlap_bound_random_angles():
@@ -72,10 +79,10 @@ def test_overlap_bound_random_angles():
         angles = rng.uniform(-math.pi / 2, math.pi / 2, sites // 2)
         for _ in range(20):
             xi = rng.uniform(0, math.pi)
-            assert abs(cx.overlap_site(angles, xi, sites)) <= 1 + 1e-12
+            assert site_overlap(angles, xi, sites) <= 1 + 1e-12
             v = rng.normal(size=4)
             v /= np.linalg.norm(v)
-            assert abs(cx.overlap_block(angles, v, sites)) <= 1 + 1e-12
+            assert math.exp(cx.log_overlaps(angles, v, sites)) <= 1 + 1e-12
 
 
 def test_block_reduces_to_site():
@@ -93,7 +100,7 @@ def test_block_reduces_to_site():
                 np.cos(angles) * math.cos(xi / 2) ** 2
                 + np.sin(angles) * math.sin(xi / 2) ** 2 * cot
             )
-            assert cx.overlap_site(angles, xi, sites) == pytest.approx(closed, abs=1e-12)
+            assert site_overlap(angles, xi, sites) == pytest.approx(abs(closed), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -152,33 +159,39 @@ def reference_matrices(angles, sites):
 @pytest.mark.parametrize("sites", [64, 66])
 def test_pair_coefficients_match_quadratic_forms(sites):
     # the five coefficients evaluate the 4x4 forms: each factor to 1e-13 of
-    # |v|.|M_k|.|v|, the scale of its terms, and the overlap is their product
-    # to the relative errors of its factors summed
+    # |v|.|M_k|.|v|, the scale of its terms, and the overlap's magnitude is
+    # their product to the relative errors of its factors summed
     rng = np.random.default_rng(sites)
     angles = rng.uniform(-math.pi / 2, math.pi / 2, sites // 2)
     m, q = reference_matrices(angles, sites)
-    coef, q_forms = _block_forms(angles, sites)
-    assert coef.shape == (sites // 4, 5)
-    assert (q is None and q_forms is None) or np.array_equal(q, q_forms)
+    coef, weights = _block_forms(angles, sites)
+    pairs = sites // 4
+    assert coef.shape == (pairs + (q is not None), 5)
+    assert np.array_equal(weights[:pairs], np.ones(pairs))
+    if q is not None:  # the unpaired factor q.v enters as the row of (q.v)^2 at weight 1/2
+        assert weights[pairs] == 0.5
+        assert np.array_equal(coef[pairs], [q[0] * q[0], 2.0 * q[0] * q[3], q[3] * q[3], 0.0, 0.0])
     v = rng.normal(size=(200, 4))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     want = np.einsum("kij,ni,nj->nk", m, v, v)
     scale = np.einsum("kij,ni,nj->nk", np.abs(m), np.abs(v), np.abs(v))
-    assert np.all(np.abs(_factors(v, coef) - want) <= 1e-13 * scale)
+    assert np.all(np.abs(_factors(v, coef[:pairs]) - want) <= 1e-13 * scale)
     for row, factors, terms in zip(v, want, scale):
-        total = np.prod(factors) * (1.0 if q is None else q @ row)
+        total = abs(np.prod(factors) * (1.0 if q is None else q @ row))
         rel = 1e-13 * (1.0 + np.sum(terms / np.abs(factors)))
-        assert abs(cx.overlap_block(angles, row, sites) - total) <= rel * abs(total)
+        assert abs(math.exp(cx.log_overlaps(angles, row, sites)) - total) <= rel * total
 
 
 def test_unpaired_factor_only_when_half_is_odd():
+    # N/2 odd adds the row of (q.v)^2, q = (cos t, 0, 0, sin t) at the middle
+    # angle, at weight 1/2; N/2 even adds none
     angles = np.linspace(0.1, 0.7, 6)
-    _, q8 = _block_forms(angles[:4], 8)
-    _, q10 = _block_forms(angles[:5], 10)
-    assert q8 is None
-    assert q10 is not None
-    assert q10[0] == pytest.approx(math.cos(angles[2]))
-    assert q10[3] == pytest.approx(math.sin(angles[2]))
+    coef8, w8 = _block_forms(angles[:4], 8)
+    coef10, w10 = _block_forms(angles[:5], 10)
+    assert coef8.shape == (2, 5) and np.all(w8 == 1.0)
+    assert coef10.shape == (3, 5) and np.all(w10[:2] == 1.0) and w10[2] == 0.5
+    qa, qd = math.cos(angles[2]), math.sin(angles[2])
+    assert coef10[2] == pytest.approx([qa * qa, 2.0 * qa * qd, qd * qd, 0.0, 0.0])
 
 
 def test_maximize_site_ghz_point():
@@ -267,7 +280,7 @@ def test_maximize_site_matches_golden_section(spec):
     assert abs(log_lambda - want) <= 1e-12 * max(1.0, abs(want))
     xi = res.optimum.xi
     assert 0.0 <= xi <= math.pi
-    overlap = abs(cx.overlap_site(analysis.angles, xi, spec.sites))
+    overlap = site_overlap(analysis.angles, xi, spec.sites)
     assert overlap == pytest.approx(res.lambda_max, rel=1e-12)
 
 
@@ -423,7 +436,7 @@ def reference_maxima(analysis):
     coef, weights = analysis.forms
     m, q = reference_matrices(analysis.angles, analysis.sites)
     unit = np.ones(m.shape[0])
-    xi = analysis.site_optimum[0]
+    xi = float(analysis.solved("site_optima")[0])
     af = lambda t: reference_af_value_grad(t, m, q, unit)  # noqa: E731
     af_log, t = reference_ascent(af, _af_grid_starts(coef, weights) + [np.array([xi / 2, xi / 2])])
     starts = []
@@ -480,7 +493,7 @@ def test_unpaired_factor_is_a_half_weight_row(spec):
         want, want_grad = with_q - without_q, with_q_grad - without_q_grad
         assert val[0] - val0[0] == pytest.approx(want, abs=1e-12)
         assert np.linalg.norm(grad[0] - grad0[0] - want_grad) <= 1e-12 * max(1.0, np.linalg.norm(grad))
-        overlap = abs(cx.overlap_block(analysis.angles, u, spec.sites))
+        overlap = abs(np.prod(np.einsum("kij,i,j->k", m, u, u)) * (q @ u))
         assert math.exp(val[0]) == pytest.approx(overlap, rel=1e-12)
 
 
@@ -496,7 +509,7 @@ def test_batched_ascent_matches_per_start_lbfgsb():
             log_lambda = -0.5 * math.log(2.0) * res.eg_total
             assert log_lambda == pytest.approx(want, abs=1e-10), (name, spec, res.mode)
             # the reported optimum attains the reported overlap
-            overlap = abs(cx.overlap_block(analysis.angles, res.optimum, spec.sites))
+            overlap = math.exp(cx.log_overlaps(analysis.angles, res.optimum.amplitudes, spec.sites))
             assert overlap == pytest.approx(res.lambda_max, rel=1e-12), (name, spec, res.mode)
         checked += 1
     assert checked >= 80

@@ -121,6 +121,19 @@ def test_check_point_diagonalizes_once(monkeypatch):
     assert calls == [("eigh", 128), ("eigh", 128)]
 
 
+def test_check_reads_the_maximizers_evaluator(monkeypatch):
+    # check compares the dense overlaps with the log-overlap evaluator the
+    # maximizers run, so a 1e-6 shift of its values fails both overlap rows;
+    # N = 10 has the unpaired half-weight row
+    spec = cx.preset_spt_afm(0.5, 10)
+    assert all(row.passed for row in check_model("spt-afm", spec, 0.5))
+    log_overlaps = cx.entanglement._log_overlaps
+    monkeypatch.setattr(cx.entanglement, "_log_overlaps",
+                        lambda *args, **kwargs: log_overlaps(*args, **kwargs) + 1e-6)
+    failed = [row.check for row in check_model("spt-afm", spec, 0.5) if not row.passed]
+    assert failed == ["overlap_site", "overlap_block"]
+
+
 def test_run_checks_reads_sites_once():
     # a generator of sizes is consumed once, so it gives the rows of a tuple
     rows = run_checks(sites=(n for n in [8]), presets=["xy"], points=2)
